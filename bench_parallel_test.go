@@ -14,8 +14,8 @@ import (
 // count over the two giant-component corpus families — powerlaw-hubs (one
 // huge hub component) and clique-cores (overlapping dense cores) — which
 // are exactly the shapes the parallel engine targets. par=1 is the serial
-// reference (now fused and arena-backed, so its allocs/op are the number
-// to watch on single-core recordings); par=max is GOMAXPROCS.
+// reference (enumerate, then score, on one goroutine); par=max is
+// GOMAXPROCS.
 //
 // Run with
 //

@@ -40,21 +40,22 @@ type Options struct {
 	MaxCliqueLimit int
 	Seed           int64
 	// Parallelism bounds the worker fan-out inside each round: maximal-
-	// clique enumeration, the fused enumerate→score pipeline, and the
-	// per-component search all use at most this many workers. 0 = one
-	// worker per GOMAXPROCS; 1 = fully serial (the reference pipeline).
-	// Output bytes are identical at every setting — see README "Parallel
-	// round engine".
+	// clique enumeration, clique scoring, and the per-component search
+	// all use at most this many workers. 0 = one worker per GOMAXPROCS;
+	// 1 = fully serial (the reference pipeline). Output bytes are
+	// identical at every setting — see README "Parallel round engine".
 	Parallelism int
-	// ScoreParallelThreshold is the per-round clique count at which
-	// scoring and the fused pipeline start fanning out; below it the
-	// round stays single-threaded, since goroutine hand-off only pays for
-	// itself on large rounds. ≤ 0 = default 256 (set it to 1 to always
-	// fan out).
+	// ScoreParallelThreshold is the per-round size at which a round starts
+	// fanning out: enumeration once the residual has this many edges,
+	// scoring once it has this many cliques. Below it the round stays
+	// single-threaded, since goroutine start-up only pays for itself on
+	// large rounds. ≤ 0 = default 256 (set it to 1 to always fan out).
 	ScoreParallelThreshold int
-	// PipelineChunk is the number of cliques per chunk handed from the
-	// enumeration workers to the scoring workers in the fused pipeline.
-	// ≤ 0 = default 64.
+	// PipelineChunk has no effect.
+	//
+	// Deprecated: ignored; a round's fan-out is set by Parallelism and
+	// ScoreParallelThreshold alone. The field remains only so callers
+	// that still set it (the perfbench module) keep compiling.
 	PipelineChunk int
 	// Progress, when non-nil, is invoked after every round of the outer
 	// loop with a snapshot of the run. Callbacks must be fast; they run on
@@ -84,9 +85,6 @@ func (o *Options) defaults() {
 	}
 	if o.ScoreParallelThreshold <= 0 {
 		o.ScoreParallelThreshold = defaultScoreParallelThreshold
-	}
-	if o.PipelineChunk <= 0 {
-		o.PipelineChunk = defaultPipelineChunk
 	}
 }
 
@@ -220,7 +218,6 @@ func reconstructGraph(ctx context.Context, g *graph.Graph, m *Model, opts Option
 			OrigID:                 origID,
 			Parallelism:            opts.Parallelism,
 			ScoreParallelThreshold: opts.ScoreParallelThreshold,
-			PipelineChunk:          opts.PipelineChunk,
 			// Once θ has bottomed out at 0 (or is frozen by α = 0), a
 			// component where nothing scored above the threshold can no
 			// longer make Phase-1 progress; its edges are consumed as

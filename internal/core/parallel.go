@@ -7,21 +7,11 @@ import (
 	"marioh/internal/graph"
 )
 
-// Defaults of the round-engine parallelism knobs (Options.
-// ScoreParallelThreshold and Options.PipelineChunk); pinned by
-// TestParallelTuningDefaults.
-const (
-	// defaultScoreParallelThreshold is the clique count below which a
-	// round's scoring (and the fused enumerate→score pipeline) stays
-	// single-threaded; goroutine fan-out only pays for itself on large
-	// rounds.
-	defaultScoreParallelThreshold = 256
-	// defaultPipelineChunk is the number of cliques per chunk streamed
-	// from enumeration workers to scoring workers in the fused pipeline —
-	// large enough to amortize the channel hand-off, small enough to keep
-	// the scoring workers fed.
-	defaultPipelineChunk = 64
-)
+// defaultScoreParallelThreshold is the default of Options.
+// ScoreParallelThreshold (pinned by TestParallelTuningDefaults): the round
+// size below which enumeration and scoring stay single-threaded, since
+// goroutine fan-out only pays for itself on large rounds.
+const defaultScoreParallelThreshold = 256
 
 // resolveWorkers maps an Options.Parallelism value to a worker count:
 // ≤ 0 means one worker per GOMAXPROCS, otherwise the value itself.
@@ -32,10 +22,10 @@ func resolveWorkers(parallelism int) int {
 	return parallelism
 }
 
-// scoreFanout is the worker count actually used to score n cliques under
+// fanout is the worker count actually used for a pass over n items under
 // the configured parallelism and threshold: one below the threshold,
-// never more than one worker per clique, never more than configured.
-func scoreFanout(n, workers, threshold int) int {
+// never more than one worker per item, never more than configured.
+func fanout(n, workers, threshold int) int {
 	if n < threshold {
 		return 1
 	}
@@ -46,6 +36,33 @@ func scoreFanout(n, workers, threshold int) int {
 		workers = 1
 	}
 	return workers
+}
+
+// enumerateScored enumerates the maximal cliques of g (min size 2, capped
+// at limit when > 0) in the exact serial order, scores each as maximal,
+// and reports whether enumeration was truncated by limit. Each phase uses
+// at most workers goroutines; a residual with fewer than threshold edges
+// stays single-threaded for both, so small rounds never pay for
+// goroutine start-up. mapBack, when non-nil, relabels clique nodes from
+// g's ids to mapBack[id] after scoring (the induced-subgraph dirty path);
+// it must be ascending so relabeled cliques stay sorted.
+//
+// Bytes cannot depend on workers: graph.MaximalCliquesParallel reproduces
+// the serial stream (and its limit cutoff) exactly, and a clique's score
+// depends only on the graph and the clique.
+func enumerateScored(g *graph.Graph, m *Model, limit, workers, threshold int, mapBack []int) ([]scoredClique, bool) {
+	workers = fanout(g.NumEdges(), workers, threshold)
+	cliques := g.MaximalCliquesParallel(2, limit, workers)
+	truncated := limit > 0 && len(cliques) >= limit
+	scored := scoreCliques(g, m, cliques, workers, threshold)
+	if mapBack != nil {
+		for _, sc := range scored {
+			for j, u := range sc.nodes {
+				sc.nodes[j] = mapBack[u]
+			}
+		}
+	}
+	return scored, truncated
 }
 
 // ScoreCliques evaluates the classifier on each clique (treated as
@@ -69,7 +86,7 @@ func ScoreCliques(g *graph.Graph, m *Model, cliques [][]int) []float64 {
 // activation buffers instead of allocating per clique.
 func scoreCliques(g *graph.Graph, m *Model, cliques [][]int, workers, threshold int) []scoredClique {
 	scored := make([]scoredClique, len(cliques))
-	w := scoreFanout(len(cliques), workers, threshold)
+	w := fanout(len(cliques), workers, threshold)
 	if w == 1 {
 		var sc scorer
 		for i, q := range cliques {

@@ -10,34 +10,30 @@ import (
 	"marioh/internal/graph"
 )
 
-// TestParallelTuningDefaults pins the documented defaults of the round
-// engine's tuning knobs: ScoreParallelThreshold 256 and PipelineChunk 64,
-// both as constants and through Options.defaults() resolution.
+// TestParallelTuningDefaults pins the documented default of the round
+// engine's one tuning knob, ScoreParallelThreshold 256, both as a
+// constant and through Options.defaults() resolution.
 func TestParallelTuningDefaults(t *testing.T) {
 	if defaultScoreParallelThreshold != 256 {
 		t.Errorf("defaultScoreParallelThreshold = %d, want the documented 256", defaultScoreParallelThreshold)
 	}
-	if defaultPipelineChunk != 64 {
-		t.Errorf("defaultPipelineChunk = %d, want the documented 64", defaultPipelineChunk)
-	}
 	var o Options
 	o.defaults()
-	if o.ScoreParallelThreshold != 256 || o.PipelineChunk != 64 {
-		t.Errorf("Options.defaults() resolved threshold=%d chunk=%d, want 256/64",
-			o.ScoreParallelThreshold, o.PipelineChunk)
+	if o.ScoreParallelThreshold != 256 {
+		t.Errorf("Options.defaults() resolved threshold=%d, want 256", o.ScoreParallelThreshold)
 	}
-	o = Options{ScoreParallelThreshold: 7, PipelineChunk: 9}
+	o = Options{ScoreParallelThreshold: 7}
 	o.defaults()
-	if o.ScoreParallelThreshold != 7 || o.PipelineChunk != 9 {
-		t.Errorf("Options.defaults() clobbered explicit threshold=%d chunk=%d",
-			o.ScoreParallelThreshold, o.PipelineChunk)
+	if o.ScoreParallelThreshold != 7 {
+		t.Errorf("Options.defaults() clobbered explicit threshold=%d", o.ScoreParallelThreshold)
 	}
 }
 
 // TestScoreFanoutHonorsParallelism is the regression test for the bug
 // where scoreCliques always fanned out to GOMAXPROCS past the threshold,
 // ignoring the configured parallelism: WithParallelism(1) must mean one
-// worker no matter how many cliques a round scores.
+// worker no matter how many cliques a round scores (or, for enumeration,
+// how many edges the residual has).
 func TestScoreFanoutHonorsParallelism(t *testing.T) {
 	cases := []struct {
 		n, workers, threshold, want int
@@ -50,8 +46,8 @@ func TestScoreFanoutHonorsParallelism(t *testing.T) {
 		{n: 10, workers: 0, threshold: 1, want: 1},    // degenerate input clamps to 1
 	}
 	for _, c := range cases {
-		if got := scoreFanout(c.n, c.workers, c.threshold); got != c.want {
-			t.Errorf("scoreFanout(%d, %d, %d) = %d, want %d", c.n, c.workers, c.threshold, got, c.want)
+		if got := fanout(c.n, c.workers, c.threshold); got != c.want {
+			t.Errorf("fanout(%d, %d, %d) = %d, want %d", c.n, c.workers, c.threshold, got, c.want)
 		}
 	}
 	if got := resolveWorkers(0); got != runtime.GOMAXPROCS(0) {
@@ -73,12 +69,14 @@ func pipelineTestSetup(t testing.TB) (*Model, *graph.Graph) {
 	return m, g
 }
 
-// TestPipelineEnumerateScoredMatchesSerial checks that the fused pipeline
-// produces the same scored-clique multiset as the materialize-then-score
-// path, across worker counts, with pipeline knobs forced low so the
-// chunked hand-off engages. (The induced-subgraph mapBack path is covered
-// end-to-end by TestParallelRoundEngineMatchesSerial's cached-piece runs,
-// whose dirty components re-enumerate through Subgraph.)
+// TestPipelineEnumerateScoredMatchesSerial checks that the round's
+// enumerate→score step produces the same scored-clique multiset as the
+// serial materialize-then-score reference across worker counts, with the
+// threshold forced low so both phases fan out, and that a residual below
+// the threshold stays serial. (The induced-subgraph mapBack path is
+// covered end-to-end by TestParallelRoundEngineMatchesSerial's
+// cached-piece runs, whose dirty components re-enumerate through
+// Subgraph.)
 func TestPipelineEnumerateScoredMatchesSerial(t *testing.T) {
 	m, g := pipelineTestSetup(t)
 
@@ -86,27 +84,42 @@ func TestPipelineEnumerateScoredMatchesSerial(t *testing.T) {
 	want := scoreCliques(g, m, wantCliques, 1, defaultScoreParallelThreshold)
 	sortByScoreDesc(want)
 
-	for _, workers := range []int{1, 2, 4, 8} {
-		got, truncated := enumerateScored(g, m, -1, workers, 3, 1, nil)
+	check := func(label string, workers, threshold int) {
+		t.Helper()
+		got, truncated := enumerateScored(g, m, -1, workers, threshold, nil)
 		if truncated {
-			t.Fatalf("workers=%d: unexpected truncation without a limit", workers)
+			t.Fatalf("%s workers=%d: unexpected truncation without a limit", label, workers)
 		}
 		sortByScoreDesc(got)
 		if len(got) != len(want) {
-			t.Fatalf("workers=%d: %d scored cliques, want %d", workers, len(got), len(want))
+			t.Fatalf("%s workers=%d: %d scored cliques, want %d", label, workers, len(got), len(want))
 		}
 		for i := range got {
 			if got[i].score != want[i].score || !equalNodes(got[i].nodes, want[i].nodes) {
-				t.Fatalf("workers=%d: scored clique %d diverged", workers, i)
+				t.Fatalf("%s workers=%d: scored clique %d diverged", label, workers, i)
 			}
 		}
 	}
+	for _, workers := range []int{1, 2, 4, 8} {
+		check("threshold=1", workers, 1)
+	}
+
+	// A residual with fewer edges than the threshold keeps enumeration
+	// (and therefore scoring) on one worker, whatever workers allows.
+	small := g.NumEdges() + 1
+	if w := fanout(g.NumEdges(), 8, small); w != 1 {
+		t.Fatalf("fanout below the edge threshold = %d workers, want 1", w)
+	}
+	check("below-threshold", 8, small)
 
 	// The limit path must reproduce the serial truncation prefix exactly.
 	for _, limit := range []int{1, 5, len(wantCliques), len(wantCliques) + 10} {
 		ref := scoreCliques(g, m, g.MaximalCliquesLimit(2, limit), 1, defaultScoreParallelThreshold)
-		for _, workers := range []int{1, 4} {
-			got, _ := enumerateScored(g, m, limit, workers, 3, 1, nil)
+		for _, workers := range []int{1, 2, 4, 8} {
+			got, truncated := enumerateScored(g, m, limit, workers, 1, nil)
+			if wantTrunc := limit <= len(wantCliques); truncated != wantTrunc {
+				t.Fatalf("limit=%d workers=%d: truncated=%v, want %v", limit, workers, truncated, wantTrunc)
+			}
 			if len(got) != len(ref) {
 				t.Fatalf("limit=%d workers=%d: %d cliques, want %d", limit, workers, len(got), len(ref))
 			}
@@ -133,8 +146,8 @@ func equalNodes(a, b []int) bool {
 
 // TestParallelRoundEngineMatchesSerial drives full reconstructions — the
 // serial pipeline, the cached piece engine, and the sharded orchestrator —
-// at several parallelism settings with the pipeline knobs forced low, and
-// requires byte-identical hypergraphs throughout.
+// at several parallelism settings with the fan-out threshold forced low,
+// and requires byte-identical hypergraphs throughout.
 func TestParallelRoundEngineMatchesSerial(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	m, g := pipelineTestSetup(t)
@@ -154,7 +167,7 @@ func TestParallelRoundEngineMatchesSerial(t *testing.T) {
 	want := render(serial)
 
 	for _, par := range []int{0, 2, 8} {
-		opts := Options{Seed: 1, Parallelism: par, ScoreParallelThreshold: 1, PipelineChunk: 2}
+		opts := Options{Seed: 1, Parallelism: par, ScoreParallelThreshold: 1}
 		res, err := ReconstructContext(context.Background(), g, m, opts)
 		if err != nil {
 			t.Fatal(err)

@@ -71,11 +71,15 @@ type SearchOptions struct {
 	// scoring, per-component search); ≤ 0 = GOMAXPROCS, 1 = serial.
 	// Output bytes are identical at every setting.
 	Parallelism int
-	// ScoreParallelThreshold is the clique count at which scoring and the
-	// fused pipeline fan out; ≤ 0 = the documented default (256).
+	// ScoreParallelThreshold is the round size at which enumeration (by
+	// residual edge count) and scoring (by clique count) fan out; ≤ 0 =
+	// the documented default (256).
 	ScoreParallelThreshold int
-	// PipelineChunk is the fused pipeline's hand-off chunk size; ≤ 0 =
-	// the documented default (64).
+	// PipelineChunk has no effect.
+	//
+	// Deprecated: ignored; a round's fan-out is set by Parallelism and
+	// ScoreParallelThreshold alone. The field remains only so callers
+	// that still set it (the perfbench module) keep compiling.
 	PipelineChunk int
 	// StallDump, when true, dumps the remaining edges of every component
 	// that accepted nothing this round as size-2 hyperedges — the
@@ -120,10 +124,6 @@ func BidirectionalSearch(g *graph.Graph, m *Model, opts SearchOptions, rec *hype
 	if threshold <= 0 {
 		threshold = defaultScoreParallelThreshold
 	}
-	chunkSize := opts.PipelineChunk
-	if chunkSize <= 0 {
-		chunkSize = defaultPipelineChunk
-	}
 	key := componentKeys(g, opts.OrigID)
 
 	// Partition the live components into cached ones (unchanged since
@@ -158,15 +158,15 @@ func BidirectionalSearch(g *graph.Graph, m *Model, opts SearchOptions, rec *hype
 		var scored []scoredClique
 		if opts.cache == nil || len(opts.cache.comps) == 0 {
 			// Cache-free (the serial pipeline) or fully cold: enumerate
-			// the graph directly, fused with scoring.
-			scored, truncated = enumerateScored(g, m, limit, workers, chunkSize, threshold, nil)
+			// and score the graph directly.
+			scored, truncated = enumerateScored(g, m, limit, workers, threshold, nil)
 		} else {
 			// Re-enumerate and re-score only the changed components,
 			// through the induced subgraph — exact because dirtyNodes is
 			// a union of whole components, the relabeling is
 			// order-preserving, and every feature is component-local.
 			sub, back := g.Subgraph(dirtyNodes)
-			scored, truncated = enumerateScored(sub, m, limit, workers, chunkSize, threshold, back)
+			scored, truncated = enumerateScored(sub, m, limit, workers, threshold, back)
 		}
 		if ctx.Err() != nil {
 			return 0

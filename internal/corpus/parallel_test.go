@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"testing"
 
 	"marioh/internal/core"
@@ -14,12 +15,14 @@ import (
 // TestParallelRoundMatchesSerialOverCorpus is the corpus-wide determinism
 // property test for the parallel round engine: every family, reconstructed
 // at Parallelism ∈ {1, 2, 8}, must be byte-identical to the serial golden.
-// The Parallelism > 1 runs also force tiny pipeline knobs (threshold 1,
-// chunk 3) so the fused enumerate→score pipeline and the per-component
-// fan-out engage on every round of every family, however small — the
-// documented defaults would leave the small families serial. Named to
-// match the -race matrix ('Parallel'), which is where scheduling-dependent
-// divergence would surface.
+// The Parallelism > 1 runs also force the fan-out threshold to 1 so
+// parallel enumeration, parallel scoring and the per-component fan-out
+// engage on every round of every family, however small — the documented
+// default would leave the small families serial. Every run must also
+// project back to its input graph edge for edge and weight for weight,
+// an oracle that does not depend on the engine agreeing with itself.
+// Named to match the -race matrix ('Parallel'), which is where
+// scheduling-dependent divergence would surface.
 func TestParallelRoundMatchesSerialOverCorpus(t *testing.T) {
 	// Force real goroutine interleaving even on single-core runners.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
@@ -27,11 +30,21 @@ func TestParallelRoundMatchesSerialOverCorpus(t *testing.T) {
 	for _, f := range Families {
 		f := f
 		t.Run(f.Name, func(t *testing.T) {
+			wantEdges := f.Gen(1).Edges()
+			checkProjection := func(par int, res *core.Result) {
+				t.Helper()
+				if got := res.Hypergraph.Project().Edges(); !slices.Equal(got, wantEdges) {
+					t.Errorf("Parallelism=%d: projection differs from the input graph (%d edges, input has %d)",
+						par, len(got), len(wantEdges))
+				}
+			}
+
 			serial, err := core.ReconstructContext(context.Background(), f.Gen(1), m,
 				core.Options{Seed: 1, Parallelism: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
+			checkProjection(1, serial)
 			want := renderResult(t, serial)
 
 			// The serial run must itself sit on the recorded golden pin —
@@ -49,11 +62,11 @@ func TestParallelRoundMatchesSerialOverCorpus(t *testing.T) {
 					Seed:                   1,
 					Parallelism:            par,
 					ScoreParallelThreshold: 1,
-					PipelineChunk:          3,
 				})
 				if err != nil {
 					t.Fatal(err)
 				}
+				checkProjection(par, res)
 				if got := renderResult(t, res); !bytes.Equal(got, want) {
 					t.Errorf("Parallelism=%d diverged from serial: got %d bytes, want %d",
 						par, len(got), len(want))

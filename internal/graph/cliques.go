@@ -47,15 +47,7 @@ func (g *Graph) MaximalCliques(minSize int) [][]int {
 // MaximalCliquesLimit behaves like MaximalCliques but stops after emitting
 // limit cliques (limit < 0 means no limit).
 func (g *Graph) MaximalCliquesLimit(minSize, limit int) [][]int {
-	var out [][]int
-	g.EachMaximalClique(minSize, func(c []int) bool {
-		cc := make([]int, len(c))
-		copy(cc, c)
-		out = append(out, cc)
-		return limit < 0 || len(out) < limit
-	})
-	slices.SortFunc(out, cmpIntSlice)
-	return out
+	return g.cliqueSeeds(minSize).collect(limit)
 }
 
 // EachMaximalClique calls fn with every maximal clique of size ≥ minSize.
@@ -70,38 +62,31 @@ func (g *Graph) MaximalCliquesLimit(minSize, limit int) [][]int {
 // per-seed buffers are reused, so enumeration allocates O(1) amortized
 // memory per seed instead of per recursive call.
 func (g *Graph) EachMaximalClique(minSize int, fn func(clique []int) bool) {
-	s := g.CliqueSeeds(minSize)
-	var sc CliqueEnum
-	for i := 0; i < s.NumSeeds(); i++ {
-		if !s.EnumSeed(i, &sc, fn) {
-			return
-		}
-	}
+	g.cliqueSeeds(minSize).each(fn)
 }
 
-// CliqueSeeder exposes the per-seed structure of the Bron–Kerbosch
+// cliqueSeeder exposes the per-seed structure of the Bron–Kerbosch
 // enumeration: the degeneracy ordering is computed once, and each seed
 // vertex's expansion — an independent subtree of the search — can then be
 // run on its own, with caller-provided scratch. That per-seed granularity
-// is what MaximalCliquesParallel fans out across workers, and what the
-// fused enumerate→score pipeline in internal/core streams from.
+// is what MaximalCliquesParallel fans out across workers.
 //
-// Seeds are indexed 0..NumSeeds()-1 in degeneracy order. Running every
-// seed in index order through one CliqueEnum reproduces exactly the
+// Seeds are indexed 0..numSeeds()-1 in degeneracy order. Running every
+// seed in index order through one bkEnum reproduces exactly the
 // EachMaximalClique stream; the per-seed sub-streams are independent of
-// each other, so they may also be run concurrently (with one CliqueEnum
-// per goroutine) and concatenated by seed index to recover the identical
+// each other, so they may also be run concurrently (with one bkEnum per
+// goroutine) and concatenated by seed index to recover the identical
 // stream. The graph must not be mutated while a seeder is in use.
-type CliqueSeeder struct {
+type cliqueSeeder struct {
 	g       *Graph
 	minSize int
 	order   []int
 	rank    []int
 }
 
-// CliqueSeeds computes the degeneracy ordering and returns a seeder over
+// cliqueSeeds computes the degeneracy ordering and returns a seeder over
 // it. minSize is clamped to ≥ 1, matching MaximalCliques.
-func (g *Graph) CliqueSeeds(minSize int) *CliqueSeeder {
+func (g *Graph) cliqueSeeds(minSize int) *cliqueSeeder {
 	if minSize < 1 {
 		minSize = 1
 	}
@@ -110,26 +95,48 @@ func (g *Graph) CliqueSeeds(minSize int) *CliqueSeeder {
 	for i, u := range order {
 		rank[u] = i
 	}
-	return &CliqueSeeder{g: g, minSize: minSize, order: order, rank: rank}
+	// The min-degree peel takes every isolated node first. Such a seed
+	// emits nothing above size 1, so a sparse residual — most of whose
+	// nodes a late round has stripped bare — skips them outright.
+	for minSize > 1 && len(order) > 0 && len(g.nbrs[order[0]]) == 0 {
+		order = order[1:]
+	}
+	return &cliqueSeeder{g: g, minSize: minSize, order: order, rank: rank}
 }
 
-// NumSeeds returns the number of seed vertices (every node, in degeneracy
-// order).
-func (s *CliqueSeeder) NumSeeds() int { return len(s.order) }
+// numSeeds returns the number of seed vertices (every node that can root
+// a clique of minSize, in degeneracy order).
+func (s *cliqueSeeder) numSeeds() int { return len(s.order) }
 
-// CliqueEnum is the reusable scratch of one enumeration worker. The zero
-// value is ready to use; a CliqueEnum must not be shared between
-// concurrently running EnumSeed calls.
-type CliqueEnum struct {
-	e bkEnum
+// each runs every seed in index order through one scratch enumerator:
+// the EachMaximalClique stream.
+func (s *cliqueSeeder) each(fn func(clique []int) bool) {
+	var e bkEnum
+	for i := 0; i < s.numSeeds(); i++ {
+		if !s.enumSeed(i, &e, fn) {
+			return
+		}
+	}
 }
 
-// EnumSeed enumerates the maximal cliques whose Bron–Kerbosch subtree is
+// collect materializes the serial stream, stopping after limit cliques
+// (limit < 0 means no limit), and sorts it lexicographically.
+func (s *cliqueSeeder) collect(limit int) [][]int {
+	var out [][]int
+	s.each(func(c []int) bool {
+		out = append(out, slices.Clone(c))
+		return limit < 0 || len(out) < limit
+	})
+	slices.SortFunc(out, cmpIntSlice)
+	return out
+}
+
+// enumSeed enumerates the maximal cliques whose Bron–Kerbosch subtree is
 // rooted at seed i, calling fn for each exactly as EachMaximalClique does
-// (the slice is reused; copy it to retain it). It reports whether
+// (the slice is reused; copy it to retain it), with e as scratch; e must
+// not be shared between concurrently running calls. It reports whether
 // enumeration ran to completion — false means fn returned false.
-func (s *CliqueSeeder) EnumSeed(i int, sc *CliqueEnum, fn func(clique []int) bool) bool {
-	e := &sc.e
+func (s *cliqueSeeder) enumSeed(i int, e *bkEnum, fn func(clique []int) bool) bool {
 	e.g = s.g
 	e.minSize = s.minSize
 	e.fn = fn
@@ -139,7 +146,8 @@ func (s *CliqueSeeder) EnumSeed(i int, sc *CliqueEnum, fn func(clique []int) boo
 	return !e.stopped
 }
 
-// bkEnum holds the reusable state of one EachMaximalClique run.
+// bkEnum holds the reusable state of one enumeration worker; the zero
+// value is ready to use.
 type bkEnum struct {
 	g       *Graph
 	minSize int

@@ -14,14 +14,15 @@ import (
 //   - each seed's expansion is an independent subtree of the search, so a
 //     worker enumerating seed i emits exactly the sub-stream the serial
 //     pass would emit at position i;
-//   - workers write into index-addressed per-seed buckets, never into a
+//   - workers append each seed's cliques as one contiguous run of their
+//     own list and record the run under the seed's index, never into a
 //     shared stream, so scheduling cannot reorder anything;
-//   - the buckets are concatenated in seed order, truncated at limit, and
+//   - the runs are concatenated in seed order, truncated at limit, and
 //     sorted lexicographically — reproducing the serial stream (and its
 //     exact limit cutoff) regardless of how seeds were interleaved.
 //
 // A worker cannot know where the global limit falls while earlier seeds
-// are still running, so each seed caps its own bucket at limit and the
+// are still running, so each seed caps its own run at limit and the
 // concatenation re-applies the exact global cut; with a small limit on a
 // graph with many productive seeds this enumerates up to seeds×limit
 // cliques where the serial pass stops at limit. The limit path is a
@@ -32,43 +33,49 @@ import (
 // stop predicate only applies after the first emission) delegate to the
 // serial enumeration.
 func (g *Graph) MaximalCliquesParallel(minSize, limit, workers int) [][]int {
-	s := g.CliqueSeeds(minSize)
-	n := s.NumSeeds()
+	s := g.cliqueSeeds(minSize)
+	n := s.numSeeds()
 	if workers > n {
 		workers = n
 	}
 	if workers <= 1 || limit == 0 {
-		return g.MaximalCliquesLimit(minSize, limit)
+		return s.collect(limit)
 	}
-	buckets := make([][][]int, n)
+	// Seed i's cliques are lists[runs[i].w][runs[i].lo:runs[i].hi]: one
+	// growing list per worker rather than a slice per seed keeps the
+	// per-seed cost allocation-free.
+	type run struct{ w, lo, hi int }
+	runs := make([]run, n)
+	lists := make([][][]int, workers)
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func() {
+		go func(w int) {
 			defer wg.Done()
-			var sc CliqueEnum
-			var bucket [][]int
+			var e bkEnum
+			var list [][]int
+			lo := 0
 			emit := func(c []int) bool {
-				cc := make([]int, len(c))
-				copy(cc, c)
-				bucket = append(bucket, cc)
-				return limit < 0 || len(bucket) < limit
+				list = append(list, slices.Clone(c))
+				return limit < 0 || len(list)-lo < limit
 			}
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= n {
-					return
+					break
 				}
-				bucket = nil
-				s.EnumSeed(i, &sc, emit)
-				buckets[i] = bucket
+				lo = len(list)
+				s.enumSeed(i, &e, emit)
+				runs[i] = run{w, lo, len(list)}
 			}
-		}()
+			lists[w] = list
+		}(w)
 	}
 	wg.Wait()
 	var out [][]int
-	for _, b := range buckets {
+	for _, r := range runs {
+		b := lists[r.w][r.lo:r.hi]
 		if limit >= 0 && len(out)+len(b) >= limit {
 			out = append(out, b[:limit-len(out)]...)
 			break

@@ -65,15 +65,15 @@ func TestCliqueSeederStreamMatchesEachMaximalClique(t *testing.T) {
 		want = append(want, append([]int(nil), c...))
 		return true
 	})
-	s := g.CliqueSeeds(2)
-	var sc CliqueEnum
+	s := g.cliqueSeeds(2)
+	var e bkEnum
 	var got [][]int
-	for i := 0; i < s.NumSeeds(); i++ {
-		if !s.EnumSeed(i, &sc, func(c []int) bool {
+	for i := 0; i < s.numSeeds(); i++ {
+		if !s.enumSeed(i, &e, func(c []int) bool {
 			got = append(got, append([]int(nil), c...))
 			return true
 		}) {
-			t.Fatalf("EnumSeed(%d) reported an early stop without fn asking for one", i)
+			t.Fatalf("enumSeed(%d) reported an early stop without fn asking for one", i)
 		}
 	}
 	if !reflect.DeepEqual(got, want) {

@@ -229,10 +229,10 @@ func WithNegativeRatio(v float64) Option {
 
 // WithParallelism bounds the reconstructor's worker fan-out: the
 // ReconstructBatch pool, and the parallel round engine inside every
-// reconstruction (clique enumeration, the fused enumerate→score pipeline,
-// and per-component search — see README "Parallel round engine"). 0 (the
-// default) uses GOMAXPROCS; 1 forces the fully serial reference pipeline.
-// Output bytes are identical at every setting.
+// reconstruction (clique enumeration, clique scoring, and per-component
+// search — see README "Parallel round engine"). 0 (the default) uses
+// GOMAXPROCS; 1 forces the fully serial reference pipeline. Output bytes
+// are identical at every setting.
 func WithParallelism(n int) Option {
 	return func(c *config) error {
 		if n < 0 {
