@@ -172,7 +172,7 @@ func addServiceFlags(fs *flag.FlagSet) *serviceFlags {
 		theta:       fs.Float64("theta", 0.9, "initial classification threshold"),
 		ratio:       fs.Float64("r", 40, "negative prediction processing ratio (%)"),
 		alpha:       fs.Float64("alpha", 1.0/20, "threshold adjust ratio"),
-		parallel:    fs.Int("parallel", 0, "batch worker count (0 = GOMAXPROCS)"),
+		parallel:    fs.Int("parallel", 0, "worker count for targets, shards and the round engine (0 = GOMAXPROCS)"),
 		shards:      fs.Int("shards", 0, "shard-parallel reconstruction: shard count (0 = off, output is identical either way)"),
 		shardTarget: fs.Int("shard-target", 0, "shard size target in edges; components above it split along bridges (0 = auto)"),
 		progress:    fs.Bool("progress", false, "print per-round progress to stderr"),

@@ -39,11 +39,13 @@ type Options struct {
 	// unlimited.
 	MaxCliqueLimit int
 	Seed           int64
-	// Parallelism bounds the worker fan-out inside each round: maximal-
-	// clique enumeration, clique scoring, and the per-component search
-	// all use at most this many workers. 0 = one worker per GOMAXPROCS;
-	// 1 = fully serial (the reference pipeline). Output bytes are
-	// identical at every setting — see README "Parallel round engine".
+	// Parallelism is the one worker count: maximal-clique enumeration,
+	// clique scoring and the per-component search inside each round, the
+	// shards of ReconstructSharded and the dirty components of an
+	// incremental Apply each use at most this many workers (see Workers).
+	// 0 = one worker per GOMAXPROCS; 1 = fully serial (the reference
+	// pipeline). Output bytes are identical at every setting — see README
+	// "Parallel round engine".
 	Parallelism int
 	// ScoreParallelThreshold is the per-round size at which a round starts
 	// fanning out: enumeration once the residual has this many edges,

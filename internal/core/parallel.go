@@ -2,9 +2,9 @@ package core
 
 import (
 	"runtime"
-	"sync"
 
 	"marioh/internal/graph"
+	"marioh/internal/par"
 )
 
 // defaultScoreParallelThreshold is the default of Options.
@@ -13,9 +13,12 @@ import (
 // goroutine fan-out only pays for itself on large rounds.
 const defaultScoreParallelThreshold = 256
 
-// resolveWorkers maps an Options.Parallelism value to a worker count:
-// ≤ 0 means one worker per GOMAXPROCS, otherwise the value itself.
-func resolveWorkers(parallelism int) int {
+// Workers maps an Options.Parallelism value to a worker count: ≤ 0 means
+// one worker per GOMAXPROCS, otherwise the value itself. It is the one
+// place a parallelism setting is resolved: every fan-out the library runs
+// (enumeration, scoring, component search, shards, dirty session
+// components, batch targets) is sized by it.
+func Workers(parallelism int) int {
 	if parallelism <= 0 {
 		return runtime.GOMAXPROCS(0)
 	}
@@ -70,7 +73,7 @@ func enumerateScored(g *graph.Graph, m *Model, limit, workers, threshold int, ma
 // of the per-round scoring pass, used by benchmarks and analyses; it runs
 // at the default parallelism (GOMAXPROCS) and threshold.
 func ScoreCliques(g *graph.Graph, m *Model, cliques [][]int) []float64 {
-	scored := scoreCliques(g, m, cliques, resolveWorkers(0), defaultScoreParallelThreshold)
+	scored := scoreCliques(g, m, cliques, Workers(0), defaultScoreParallelThreshold)
 	out := make([]float64, len(scored))
 	for i, s := range scored {
 		out[i] = s.score
@@ -87,33 +90,9 @@ func ScoreCliques(g *graph.Graph, m *Model, cliques [][]int) []float64 {
 func scoreCliques(g *graph.Graph, m *Model, cliques [][]int, workers, threshold int) []scoredClique {
 	scored := make([]scoredClique, len(cliques))
 	w := fanout(len(cliques), workers, threshold)
-	if w == 1 {
-		var sc scorer
-		for i, q := range cliques {
-			scored[i] = scoredClique{nodes: q, score: m.scoreScratch(g, q, true, &sc)}
-		}
-		return scored
-	}
-	var wg sync.WaitGroup
-	chunk := (len(cliques) + w - 1) / w
-	for i := 0; i < w; i++ {
-		lo := i * chunk
-		hi := lo + chunk
-		if hi > len(cliques) {
-			hi = len(cliques)
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			var sc scorer
-			for i := lo; i < hi; i++ {
-				scored[i] = scoredClique{nodes: cliques[i], score: m.scoreScratch(g, cliques[i], true, &sc)}
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
+	scorers := make([]scorer, w)
+	par.Do(len(cliques), w, func(wk, i int) {
+		scored[i] = scoredClique{nodes: cliques[i], score: m.scoreScratch(g, cliques[i], true, &scorers[wk])}
+	})
 	return scored
 }

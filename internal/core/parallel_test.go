@@ -50,11 +50,11 @@ func TestScoreFanoutHonorsParallelism(t *testing.T) {
 			t.Errorf("fanout(%d, %d, %d) = %d, want %d", c.n, c.workers, c.threshold, got, c.want)
 		}
 	}
-	if got := resolveWorkers(0); got != runtime.GOMAXPROCS(0) {
-		t.Errorf("resolveWorkers(0) = %d, want GOMAXPROCS (%d)", got, runtime.GOMAXPROCS(0))
+	if got := Workers(0); got != runtime.GOMAXPROCS(0) {
+		t.Errorf("Workers(0) = %d, want GOMAXPROCS (%d)", got, runtime.GOMAXPROCS(0))
 	}
-	if got := resolveWorkers(3); got != 3 {
-		t.Errorf("resolveWorkers(3) = %d, want 3", got)
+	if got := Workers(3); got != 3 {
+		t.Errorf("Workers(3) = %d, want 3", got)
 	}
 }
 

@@ -4,11 +4,10 @@ import (
 	"context"
 	"slices"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"marioh/internal/graph"
 	"marioh/internal/hypergraph"
+	"marioh/internal/par"
 )
 
 // scoredClique pairs a clique with its classifier score.
@@ -119,7 +118,7 @@ func BidirectionalSearch(g *graph.Graph, m *Model, opts SearchOptions, rec *hype
 	if limit <= 0 {
 		limit = -1
 	}
-	workers := resolveWorkers(opts.Parallelism)
+	workers := Workers(opts.Parallelism)
 	threshold := opts.ScoreParallelThreshold
 	if threshold <= 0 {
 		threshold = defaultScoreParallelThreshold
@@ -185,22 +184,35 @@ func BidirectionalSearch(g *graph.Graph, m *Model, opts SearchOptions, rec *hype
 	}
 	sort.Ints(keys)
 
+	// Search the components concurrently. Safe because components never
+	// share edges: each worker mutates only its component's adjacency rows
+	// (the graph's global edge/weight counters are atomic), and every graph
+	// read a component's search performs — scoring features, edge-presence
+	// checks — is local to that component, so it observes exactly the
+	// state a serial walk would. Acceptances land in index-addressed
+	// per-component buffers and are merged into rec in ascending key order
+	// after the join, so rec's insertion order, the acceptance counts and
+	// the cache bookkeeping do not depend on workers.
+	results := make([][][]int, len(keys))
+	searched := make([]bool, len(keys))
+	par.Do(len(keys), workers, func(_, i int) {
+		if ctx.Err() != nil {
+			return
+		}
+		results[i] = searchComponent(g, m, opts, keys[i], groups[keys[i]])
+		searched[i] = true
+	})
 	accepted := 0
 	acceptedBy := make(map[int]int, len(groups))
-	if workers > 1 && len(keys) > 1 {
-		accepted = searchComponentsParallel(g, m, opts, rec, keys, groups, acceptedBy, workers)
-	} else {
-		for _, k := range keys {
-			if ctx.Err() != nil {
-				break
-			}
-			edges := searchComponent(g, m, opts, k, groups[k])
-			for _, e := range edges {
-				rec.Add(e)
-			}
-			acceptedBy[k] = len(edges)
-			accepted += len(edges)
+	for i, k := range keys {
+		if !searched[i] {
+			continue // skipped by cancellation; stays out of acceptedBy
 		}
+		for _, e := range results[i] {
+			rec.Add(e)
+		}
+		acceptedBy[k] = len(results[i])
+		accepted += len(results[i])
 	}
 
 	if opts.StallDump && ctx.Err() == nil {
@@ -227,60 +239,6 @@ func BidirectionalSearch(g *graph.Graph, m *Model, opts SearchOptions, rec *hype
 				delete(opts.cache.comps, k)
 			}
 		}
-	}
-	return accepted
-}
-
-// searchComponentsParallel fans searchComponent over the components of
-// the round. Safe because components never share edges: each worker
-// mutates only its component's adjacency rows (the graph's global edge/
-// weight counters are atomic), and every graph read a component's search
-// performs — scoring features, edge-presence checks — is local to that
-// component, so it observes exactly the state the serial walk would.
-// Acceptances land in index-addressed per-component buffers, never in
-// shared state, and are merged into rec in ascending key order after the
-// join — the order the serial walk inserts them — so rec's in-memory
-// insertion order, the acceptance counts, and the cache bookkeeping all
-// match the serial path exactly.
-func searchComponentsParallel(g *graph.Graph, m *Model, opts SearchOptions, rec *hypergraph.Hypergraph, keys []int, groups map[int][]scoredClique, acceptedBy map[int]int, workers int) int {
-	ctx := opts.Ctx
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	results := make([][][]int, len(keys))
-	processed := make([]bool, len(keys))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	if workers > len(keys) {
-		workers = len(keys)
-	}
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				idx := int(next.Add(1)) - 1
-				if idx >= len(keys) || ctx.Err() != nil {
-					return
-				}
-				results[idx] = searchComponent(g, m, opts, keys[idx], groups[keys[idx]])
-				processed[idx] = true
-			}
-		}()
-	}
-	wg.Wait()
-	accepted := 0
-	for i, k := range keys {
-		if !processed[i] {
-			// Skipped by cancellation; like the serial loop's break, the
-			// component stays out of acceptedBy.
-			continue
-		}
-		for _, e := range results[i] {
-			rec.Add(e)
-		}
-		acceptedBy[k] = len(results[i])
-		accepted += len(results[i])
 	}
 	return accepted
 }

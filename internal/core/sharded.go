@@ -2,11 +2,11 @@ package core
 
 import (
 	"context"
-	"runtime"
 	"sync"
 
 	"marioh/internal/graph"
 	"marioh/internal/hypergraph"
+	"marioh/internal/par"
 	"marioh/internal/shard"
 )
 
@@ -19,15 +19,9 @@ type ShardOptions struct {
 	// TargetEdges is the partitioner's shard size target; 0 derives it
 	// from the edge count and shard count.
 	TargetEdges int
-	// Workers bounds how many shards reconstruct concurrently on the
-	// built-in pool; 0 means GOMAXPROCS. Ignored when Executor is set.
-	// It composes with Options.Parallelism, which each piece's round
-	// engine honors internally (enumeration/scoring/per-component
-	// fan-out), so total goroutines approach Workers × Parallelism;
-	// callers running many shards typically keep Parallelism at 1.
-	Workers int
 	// Executor, when non-nil, runs the per-shard tasks instead of the
-	// built-in pool — the hook external schedulers (e.g. the mariohd job
+	// built-in fan-out, which runs at most Workers(Options.Parallelism)
+	// shards at once — the hook external schedulers (e.g. the mariohd job
 	// queue) use to fan shards onto their own workers. It must execute
 	// every task exactly once, on any goroutines it likes, and return
 	// only when all of them finished.
@@ -70,7 +64,7 @@ func ReconstructPiece(ctx context.Context, g *graph.Graph, m *Model, opts Option
 // with the first error, matching ReconstructContext's contract.
 func ReconstructSharded(ctx context.Context, g *graph.Graph, m *Model, opts Options, so ShardOptions) (*Result, error) {
 	if so.Shards < 1 {
-		so.Shards = runtime.GOMAXPROCS(0)
+		so.Shards = Workers(0)
 	}
 	plan := shard.Partition(g, shard.Options{
 		Shards:      so.Shards,
@@ -124,29 +118,7 @@ func ReconstructSharded(ctx context.Context, g *graph.Graph, m *Model, opts Opti
 	if so.Executor != nil {
 		so.Executor(tasks)
 	} else {
-		workers := so.Workers
-		if workers <= 0 {
-			workers = runtime.GOMAXPROCS(0)
-		}
-		if workers > len(tasks) {
-			workers = len(tasks)
-		}
-		jobs := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range jobs {
-					tasks[i]()
-				}
-			}()
-		}
-		for i := range tasks {
-			jobs <- i
-		}
-		close(jobs)
-		wg.Wait()
+		par.Do(len(tasks), Workers(opts.Parallelism), func(_, i int) { tasks[i]() })
 	}
 
 	merged := &Result{Hypergraph: hypergraph.New(g.NumNodes()), Shards: len(plan.Pieces)}

@@ -52,7 +52,7 @@ func TestEngineMatchesRebuildOverCorpus(t *testing.T) {
 		t.Run(f.Name, func(t *testing.T) {
 			opts := core.Options{Seed: 1}
 			shadow := f.Gen(1)
-			eng := incremental.New(f.Gen(1), m, opts, 2)
+			eng := incremental.New(f.Gen(1), m, core.Options{Seed: 1, Parallelism: 2})
 			ops := f.Deltas(1, total)
 			for start := 0; start <= len(ops); start += batch {
 				end := start + batch
@@ -95,7 +95,7 @@ func TestEngineMatchesRebuildOverCorpus(t *testing.T) {
 func TestRevertCyclesHitCache(t *testing.T) {
 	f := MustByName("revert-cycles")
 	m := testModel()
-	eng := incremental.New(f.Gen(1), m, core.Options{Seed: 1}, 2)
+	eng := incremental.New(f.Gen(1), m, core.Options{Seed: 1, Parallelism: 2})
 	if _, err := eng.Apply(context.Background(), nil); err != nil {
 		t.Fatal(err)
 	}

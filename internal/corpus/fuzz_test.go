@@ -103,7 +103,7 @@ func FuzzDeltaSequence(f *testing.F) {
 			ops = ops[:400] // bound a single iteration's work
 		}
 		shadow := fuzzBase()
-		eng := incremental.New(fuzzBase(), m, opts, 2)
+		eng := incremental.New(fuzzBase(), m, core.Options{Seed: 1, Parallelism: 2})
 		for start := 0; start <= len(ops); start += batch {
 			end := start + batch
 			if end > len(ops) {

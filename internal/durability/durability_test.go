@@ -174,7 +174,7 @@ func forceRotate(t *testing.T, s *Session) {
 func resumeAndCheck(t *testing.T, dir string, m *core.Model, opts core.Options, o Options,
 	wantApplies int, wantOutcome string, wantGolden []byte) *Session {
 	t.Helper()
-	s, err := Resume(dir, m, opts, 0, o)
+	s, err := Resume(dir, m, opts, o)
 	if err != nil {
 		t.Fatalf("Resume: %v", err)
 	}
@@ -205,14 +205,14 @@ func TestDurabilityRoundTrip(t *testing.T) {
 	walk := makeWalk(g, 5, 4)
 	dir := filepath.Join(t.TempDir(), "sess")
 
-	s, err := Create(dir, g.Clone(), m, opts, 0, Options{SnapshotEvery: 2})
+	s, err := Create(dir, g.Clone(), m, opts, Options{SnapshotEvery: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !Exists(dir) {
 		t.Fatal("Exists false after Create")
 	}
-	if _, err := Create(dir, g.Clone(), m, opts, 0, Options{}); err == nil {
+	if _, err := Create(dir, g.Clone(), m, opts, Options{}); err == nil {
 		t.Fatal("second Create on the same dir succeeded")
 	}
 	if _, err := s.Apply(context.Background(), nil); err != nil { // initial full build
@@ -277,7 +277,7 @@ func crashFixture(t *testing.T) (dir string, walk *deltaWalk, m *core.Model, opt
 	opts = core.Options{Seed: 5}
 	walk = makeWalk(g, 3, 4)
 	dir = filepath.Join(t.TempDir(), "sess")
-	s, err := Create(dir, g.Clone(), m, opts, 0, Options{NoFsync: true, SnapshotEvery: -1})
+	s, err := Create(dir, g.Clone(), m, opts, Options{NoFsync: true, SnapshotEvery: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,7 +361,7 @@ func TestDurabilityWALBitFlipMidLog(t *testing.T) {
 	opts := core.Options{Seed: 6}
 	walk := makeWalk(g, 3, 4)
 	dir := filepath.Join(t.TempDir(), "sess")
-	s, err := Create(dir, g.Clone(), m, opts, 0, Options{NoFsync: true, SnapshotEvery: -1})
+	s, err := Create(dir, g.Clone(), m, opts, Options{NoFsync: true, SnapshotEvery: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -474,7 +474,7 @@ func TestDurabilitySnapshotCacheCorrupt(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	s, err := Resume(crashed, m, opts, 0, Options{NoFsync: true})
+	s, err := Resume(crashed, m, opts, Options{NoFsync: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -504,7 +504,7 @@ func TestDurabilityBrokenWALRefusesApplies(t *testing.T) {
 	g, m := fixture(t)
 	opts := core.Options{Seed: 2}
 	dir := filepath.Join(t.TempDir(), "sess")
-	s, err := Create(dir, g, m, opts, 0, Options{NoFsync: true})
+	s, err := Create(dir, g, m, opts, Options{NoFsync: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -570,7 +570,7 @@ func TestWALStreamDecode(t *testing.T) {
 func TestDurabilityConcurrentReads(t *testing.T) {
 	g, m := fixture(t)
 	dir := filepath.Join(t.TempDir(), "sess")
-	s, err := Create(dir, g, m, core.Options{Seed: 1}, 0, Options{NoFsync: true})
+	s, err := Create(dir, g, m, core.Options{Seed: 1}, Options{NoFsync: true})
 	if err != nil {
 		t.Fatal(err)
 	}

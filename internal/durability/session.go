@@ -140,7 +140,7 @@ func Exists(dir string) bool {
 // not already hold one) over g. Like incremental.New it takes ownership
 // of g. The seq-0 base snapshot is written before Create returns, so the
 // session is recoverable from its first moment.
-func Create(dir string, g *graph.Graph, m *core.Model, opts core.Options, workers int, o Options) (*Session, error) {
+func Create(dir string, g *graph.Graph, m *core.Model, opts core.Options, o Options) (*Session, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("%w: session dir: %v", ErrStorage, err)
 	}
@@ -148,7 +148,7 @@ func Create(dir string, g *graph.Graph, m *core.Model, opts core.Options, worker
 		return nil, fmt.Errorf("durability: session dir %s already initialized (use Resume)", dir)
 	}
 	s := newSession(dir, o)
-	s.eng = incremental.New(g, m, opts, workers)
+	s.eng = incremental.New(g, m, opts)
 	st := s.eng.State()
 	fp := s.eng.Fingerprint()
 	base := filepath.Join(dir, baseSnapName)
@@ -179,7 +179,7 @@ func Create(dir string, g *graph.Graph, m *core.Model, opts core.Options, worker
 // replays to matching fingerprints does Resume fail. A successful Resume
 // writes a fresh snapshot and starts a new WAL segment, so the next
 // recovery replays nothing.
-func Resume(dir string, m *core.Model, opts core.Options, workers int, o Options) (*Session, error) {
+func Resume(dir string, m *core.Model, opts core.Options, o Options) (*Session, error) {
 	if !Exists(dir) {
 		return nil, fmt.Errorf("durability: no session in %s", dir)
 	}
@@ -237,7 +237,7 @@ func Resume(dir string, m *core.Model, opts core.Options, workers int, o Options
 			s.logf("durability: %s unusable: %v", name, err)
 			continue
 		}
-		e := incremental.Restore(st, m, opts, workers)
+		e := incremental.Restore(st, m, opts)
 		if got := e.Fingerprint(); got != fp0 {
 			lastErr = fmt.Errorf("%s: graph fingerprint mismatch (got %016x want %016x)", name, got, fp0)
 			s.logf("durability: %s unusable: fingerprint mismatch", name)

@@ -2,14 +2,14 @@ package graph
 
 import (
 	"slices"
-	"sync"
-	"sync/atomic"
+
+	"marioh/internal/par"
 )
 
 // MaximalCliquesParallel is MaximalCliquesLimit with the per-seed
-// Bron–Kerbosch expansions fanned across a bounded pool of workers. The
-// result is byte-identical to the serial enumeration for every worker
-// count:
+// Bron–Kerbosch expansions fanned across at most workers goroutines
+// (par.Do). The result is byte-identical to the serial enumeration for
+// every worker count:
 //
 //   - each seed's expansion is an independent subtree of the search, so a
 //     worker enumerating seed i emits exactly the sub-stream the serial
@@ -41,41 +41,34 @@ func (g *Graph) MaximalCliquesParallel(minSize, limit, workers int) [][]int {
 	if workers <= 1 || limit == 0 {
 		return s.collect(limit)
 	}
-	// Seed i's cliques are lists[runs[i].w][runs[i].lo:runs[i].hi]: one
+	// Seed i's cliques are ws[runs[i].w].list[runs[i].lo:runs[i].hi]: one
 	// growing list per worker rather than a slice per seed keeps the
 	// per-seed cost allocation-free.
 	type run struct{ w, lo, hi int }
-	runs := make([]run, n)
-	lists := make([][][]int, workers)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			var e bkEnum
-			var list [][]int
-			lo := 0
-			emit := func(c []int) bool {
-				list = append(list, slices.Clone(c))
-				return limit < 0 || len(list)-lo < limit
-			}
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					break
-				}
-				lo = len(list)
-				s.enumSeed(i, &e, emit)
-				runs[i] = run{w, lo, len(list)}
-			}
-			lists[w] = list
-		}(w)
+	type worker struct {
+		e    bkEnum
+		list [][]int
+		lo   int
+		emit func([]int) bool
 	}
-	wg.Wait()
+	runs := make([]run, n)
+	ws := make([]worker, workers)
+	for w := range ws {
+		k := &ws[w]
+		k.emit = func(c []int) bool {
+			k.list = append(k.list, slices.Clone(c))
+			return limit < 0 || len(k.list)-k.lo < limit
+		}
+	}
+	par.Do(n, workers, func(w, i int) {
+		k := &ws[w]
+		k.lo = len(k.list)
+		s.enumSeed(i, &k.e, k.emit)
+		runs[i] = run{w, k.lo, len(k.list)}
+	})
 	var out [][]int
 	for _, r := range runs {
-		b := lists[r.w][r.lo:r.hi]
+		b := ws[r.w].list[r.lo:r.hi]
 		if limit >= 0 && len(out)+len(b) >= limit {
 			out = append(out, b[:limit-len(out)]...)
 			break

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -24,8 +25,11 @@ func (g *Graph) Write(w io.Writer) error {
 }
 
 // Read parses the format produced by Write: an optional "% nodes N" header
-// followed by "u v w" lines (w defaults to 1 when omitted). Blank lines and
-// "%" comments are skipped.
+// followed by "u v w" lines (w defaults to 1 when omitted; repeated pairs
+// add up). Blank lines and "%" comments are skipped. Malformed input —
+// negative or non-int32 node ids, self-loops, non-positive weights, or a
+// pair whose summed weight overflows int32 — is a line-numbered error,
+// never a panic.
 func Read(r io.Reader) (*Graph, error) {
 	g := New(0)
 	sc := bufio.NewScanner(r)
@@ -48,26 +52,32 @@ func Read(r io.Reader) (*Graph, error) {
 		if len(fields) < 2 || len(fields) > 3 {
 			return nil, fmt.Errorf("graph: line %d: want \"u v [w]\", got %q", lineNo, text)
 		}
-		u, err := strconv.Atoi(fields[0])
-		if err != nil {
-			return nil, fmt.Errorf("graph: line %d: bad node %q", lineNo, fields[0])
+		var uv [2]int
+		for i := range uv {
+			n, err := strconv.Atoi(fields[i])
+			if err != nil || n < 0 || n >= math.MaxInt32 {
+				return nil, fmt.Errorf("graph: line %d: bad node %q", lineNo, fields[i])
+			}
+			uv[i] = n
 		}
-		v, err := strconv.Atoi(fields[1])
-		if err != nil {
-			return nil, fmt.Errorf("graph: line %d: bad node %q", lineNo, fields[1])
+		u, v := uv[0], uv[1]
+		if u == v {
+			return nil, fmt.Errorf("graph: line %d: self-loop on node %d", lineNo, u)
 		}
 		w := 1
 		if len(fields) == 3 {
+			var err error
 			w, err = strconv.Atoi(fields[2])
 			if err != nil || w <= 0 {
 				return nil, fmt.Errorf("graph: line %d: bad weight %q", lineNo, fields[2])
 			}
 		}
-		top := u
-		if v > top {
-			top = v
+		g.EnsureNodes(max(u, v) + 1)
+		// Multiplicities are stored as int32 (see AddWeight), and repeated
+		// lines for one pair add up.
+		if int64(g.Weight(u, v))+int64(w) > math.MaxInt32 {
+			return nil, fmt.Errorf("graph: line %d: weight of {%d, %d} overflows int32", lineNo, u, v)
 		}
-		g.EnsureNodes(top + 1)
 		g.AddWeight(u, v, w)
 	}
 	if err := sc.Err(); err != nil {

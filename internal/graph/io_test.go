@@ -45,3 +45,29 @@ func TestReadErrors(t *testing.T) {
 		}
 	}
 }
+
+// TestReadHostileInput: input that would trip a graph primitive's panic
+// (self-loop, negative node, int32 weight overflow, alone or summed over
+// repeated lines) is a line-numbered error instead.
+func TestReadHostileInput(t *testing.T) {
+	for _, c := range []struct {
+		in, want string
+	}{
+		{"3 3", "line 1: self-loop"},
+		{"0 1\n2 2 4", "line 2: self-loop"},
+		{"-1 2", "line 1: bad node"},
+		{"1 -2", "line 1: bad node"},
+		{"0 3000000000", "line 1: bad node"},
+		{"0 1 3000000000", "line 1: weight of {0, 1} overflows int32"},
+		{"0 1 2147483647\n1 0 1", "line 2: weight of {1, 0} overflows int32"},
+	} {
+		_, err := Read(strings.NewReader(c.in))
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("Read(%q) = %v, want error containing %q", c.in, err, c.want)
+		}
+	}
+	g, err := Read(strings.NewReader("0 1 2147483646\n1 0 1"))
+	if err != nil || g.Weight(0, 1) != 2147483647 {
+		t.Fatalf("weight summing to MaxInt32 must load: err=%v", err)
+	}
+}

@@ -23,12 +23,12 @@ package incremental
 
 import (
 	"context"
-	"runtime"
 	"sync"
 
 	"marioh/internal/core"
 	"marioh/internal/graph"
 	"marioh/internal/hypergraph"
+	"marioh/internal/par"
 )
 
 // compResult is one component's cached reconstruction.
@@ -49,7 +49,6 @@ type Engine struct {
 	tracker *graph.Tracker
 	model   *core.Model
 	opts    core.Options
-	workers int
 
 	cache   map[uint64]*compResult
 	fpByKey map[int]uint64 // component key (min node) → fingerprint
@@ -60,21 +59,16 @@ type Engine struct {
 
 // New builds an Engine over g with a trained model and reconstruction
 // options. The Engine takes ownership of g — callers that keep using the
-// graph must pass a clone. workers bounds how many dirty components
-// reconstruct concurrently per Apply; 0 means GOMAXPROCS. Inside each
-// component's rebuild the round engine additionally honors
-// opts.Parallelism (see core.Options), which matters when one oversized
-// dirty component dominates an Apply. The output is identical for every
-// worker count and parallelism setting.
-func New(g *graph.Graph, m *core.Model, opts core.Options, workers int) *Engine {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+// graph must pass a clone. opts.Parallelism bounds how many dirty
+// components reconstruct concurrently per Apply, and again the round
+// engine inside each component's rebuild, which matters when one
+// oversized dirty component dominates an Apply. The output is identical
+// at every parallelism setting.
+func New(g *graph.Graph, m *core.Model, opts core.Options) *Engine {
 	return &Engine{
 		tracker: graph.NewTracker(g),
 		model:   m,
 		opts:    opts,
-		workers: workers,
 		cache:   map[uint64]*compResult{},
 		fpByKey: map[int]uint64{},
 	}
@@ -140,39 +134,20 @@ func (e *Engine) Apply(ctx context.Context, ops []graph.DeltaOp) (*core.Result, 
 	e.tracker.ResetTouched()
 
 	// Reconstruct the dirty components, each through the cached piece
-	// engine on its induced subgraph, fanned over a bounded worker pool.
+	// engine on its induced subgraph, at most opts.Parallelism at once.
 	// Per-component randomness is keyed by original node ids, so results
 	// are independent of worker count and completion order.
 	fresh := make([]*compResult, len(dirty))
 	errs := make([]error, len(dirty))
-	if len(dirty) > 0 {
-		runCtx, cancel := context.WithCancel(ctx)
-		workers := e.workers
-		if workers > len(dirty) {
-			workers = len(dirty)
+	runCtx, cancel := context.WithCancel(ctx)
+	var progressMu sync.Mutex
+	par.Do(len(dirty), core.Workers(e.opts.Parallelism), func(_, di int) {
+		fresh[di], errs[di] = e.reconstructComponent(runCtx, comps[dirty[di]], fps[dirty[di]], &progressMu)
+		if errs[di] != nil {
+			cancel()
 		}
-		var progressMu sync.Mutex
-		jobs := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for di := range jobs {
-					fresh[di], errs[di] = e.reconstructComponent(runCtx, comps[dirty[di]], fps[dirty[di]], &progressMu)
-					if errs[di] != nil {
-						cancel()
-					}
-				}
-			}()
-		}
-		for di := range dirty {
-			jobs <- di
-		}
-		close(jobs)
-		wg.Wait()
-		cancel()
-	}
+	})
+	cancel()
 
 	// Install the refreshed components, then drop cache entries no live
 	// component references so session memory tracks the graph, not its

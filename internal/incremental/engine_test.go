@@ -107,7 +107,7 @@ func TestEngineMatchesFullRebuildUnderDeltas(t *testing.T) {
 	g, m := multiComponentTarget(t)
 	opts := core.Options{Seed: 3}
 	shadow := g.Clone()
-	eng := New(g, m, opts, 0)
+	eng := New(g, m, opts)
 	rng := rand.New(rand.NewSource(42))
 
 	batches := [][]graph.DeltaOp{nil} // first Apply: full build
@@ -164,7 +164,7 @@ func TestEngineMatchesFullRebuildUnderDeltas(t *testing.T) {
 // within the same batch) must recompute nothing.
 func TestEngineNoopAndRevertedBatchesStayCached(t *testing.T) {
 	g, m := multiComponentTarget(t)
-	eng := New(g, m, core.Options{Seed: 1}, 0)
+	eng := New(g, m, core.Options{Seed: 1})
 	full, err := eng.Apply(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
@@ -214,7 +214,7 @@ func TestEngineMergeAndSplit(t *testing.T) {
 	g, m := multiComponentTarget(t)
 	opts := core.Options{Seed: 9}
 	shadow := g.Clone()
-	eng := New(g, m, opts, 0)
+	eng := New(g, m, opts)
 	if _, err := eng.Apply(context.Background(), nil); err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +280,7 @@ func TestEngineProgressCarriesDirtyCount(t *testing.T) {
 	opts := core.Options{Seed: 1, Progress: func(p core.Progress) {
 		dirtySeen = append(dirtySeen, p.Dirty)
 	}}
-	eng := New(g, m, opts, 0)
+	eng := New(g, m, opts)
 	res, err := eng.Apply(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
@@ -304,7 +304,7 @@ func TestEnginePanicMidBatchKeepsEquivalence(t *testing.T) {
 	g, m := multiComponentTarget(t)
 	opts := core.Options{Seed: 4}
 	shadow := g.Clone()
-	eng := New(g, m, opts, 0)
+	eng := New(g, m, opts)
 	if _, err := eng.Apply(context.Background(), nil); err != nil {
 		t.Fatal(err)
 	}
@@ -350,9 +350,9 @@ func TestEnginePanicMidBatchKeepsEquivalence(t *testing.T) {
 // context error; a retry completes and still matches the full rebuild.
 func TestEngineCancelledApplyIsRetryable(t *testing.T) {
 	g, m := multiComponentTarget(t)
-	opts := core.Options{Seed: 2}
+	opts := core.Options{Seed: 2, Parallelism: 1}
 	shadow := g.Clone()
-	eng := New(g, m, opts, 1)
+	eng := New(g, m, opts)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := eng.Apply(ctx, nil); err == nil {

@@ -106,8 +106,8 @@ func (e *Engine) State() *EngineState {
 // It takes ownership of st.Graph and every entry's hypergraph. The
 // restored engine starts with an empty touched set; components whose
 // fingerprint the state did not carry are rehashed on the first Apply.
-func Restore(st *EngineState, m *core.Model, opts core.Options, workers int) *Engine {
-	e := New(st.Graph, m, opts, workers)
+func Restore(st *EngineState, m *core.Model, opts core.Options) *Engine {
+	e := New(st.Graph, m, opts)
 	e.applies = st.Applies
 	for _, c := range st.Comps {
 		e.fpByKey[c.Key] = c.FP

@@ -17,7 +17,7 @@ import (
 func TestEngineStateRestoreRoundTrip(t *testing.T) {
 	g, m := multiComponentTarget(t)
 	opts := core.Options{Seed: 3}
-	eng := New(g, m, opts, 0)
+	eng := New(g, m, opts)
 	rng := rand.New(rand.NewSource(11))
 	bound := datasets.MustByName("crime", 1).Target.Reduced().Project().NumNodes()
 	if _, err := eng.Apply(context.Background(), nil); err != nil {
@@ -32,7 +32,7 @@ func TestEngineStateRestoreRoundTrip(t *testing.T) {
 	if st.Applies != 2 || len(st.Comps) == 0 || len(st.Entries) == 0 {
 		t.Fatalf("state: applies %d, %d comps, %d entries", st.Applies, len(st.Comps), len(st.Entries))
 	}
-	restored := Restore(st, m, opts, 0)
+	restored := Restore(st, m, opts)
 	if restored.Applies() != 2 {
 		t.Fatalf("restored applies = %d, want 2", restored.Applies())
 	}
@@ -55,7 +55,7 @@ func TestEngineStateOmitsTouchedFingerprints(t *testing.T) {
 	g, m := multiComponentTarget(t)
 	opts := core.Options{Seed: 1}
 	shadow := g.Clone()
-	eng := New(g, m, opts, 0)
+	eng := New(g, m, opts)
 	if _, err := eng.Apply(context.Background(), nil); err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestEngineStateOmitsTouchedFingerprints(t *testing.T) {
 
 	// A restore from this mid-batch state must still converge on the
 	// rebuilt graph's exact output.
-	restored := Restore(st, m, opts, 0)
+	restored := Restore(st, m, opts)
 	if restored.Fingerprint() != fpBefore {
 		t.Fatal("restored graph fingerprint diverges")
 	}

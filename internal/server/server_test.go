@@ -480,6 +480,11 @@ func TestServerValidationAndNotFound(t *testing.T) {
 	if _, _, err := c.Reconstruct(ctx, ReconstructRequest{Model: "nope", Target: "0 1 1"}); err == nil || !strings.Contains(err.Error(), "404") {
 		t.Fatalf("unknown model: %v", err)
 	}
+	// A graph the parser rejects is the client's fault: 400, not a
+	// recovered panic turned 500.
+	if _, _, err := c.Reconstruct(ctx, ReconstructRequest{Model: "nope", Target: "0 1 1\n3 3 1"}); err == nil || !strings.Contains(err.Error(), "400") || !strings.Contains(err.Error(), "self-loop") {
+		t.Fatalf("self-loop target: %v", err)
+	}
 	if _, err := c.Train(ctx, TrainRequest{Source: ""}); err == nil {
 		t.Fatal("empty source must be rejected")
 	}

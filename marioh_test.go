@@ -35,8 +35,8 @@ func Example() {
 	// Output: Jaccard 1.00
 }
 
-// TestPublicAPIEndToEnd exercises the deprecated free-function flow, which
-// must keep working unchanged.
+// TestPublicAPIEndToEnd exercises the train → reconstruct → evaluate flow
+// on a multiplicity-bearing hypergraph.
 func TestPublicAPIEndToEnd(t *testing.T) {
 	truth := marioh.NewHypergraph(9)
 	truth.AddMult([]int{0, 1}, 2)
@@ -45,9 +45,19 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	truth.Add([]int{5, 6})
 	truth.Add([]int{6, 7, 8})
 
+	ctx := context.Background()
 	g := truth.Project()
-	model := marioh.TrainModel(g, truth, marioh.TrainOptions{Seed: 1})
-	res := marioh.Reconstruct(g, model, marioh.Options{Seed: 1})
+	r, err := marioh.New(marioh.WithSeed(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Train(ctx, g, truth); err != nil {
+		t.Fatal(err)
+	}
+	res, err := r.Reconstruct(ctx, g)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if j := marioh.Jaccard(truth, res.Hypergraph); j < 0.99 {
 		t.Fatalf("Jaccard = %v", j)
 	}

@@ -10,8 +10,8 @@ import (
 )
 
 // TestNewSessionInMemory: the unified entrypoint's in-memory form must
-// behave exactly like the deprecated OpenSession — same bytes for the
-// same applies.
+// reproduce a from-scratch Reconstruct of the mutated graph, byte for
+// byte, after every apply.
 func TestNewSessionInMemory(t *testing.T) {
 	r, g := trainedReconstructor(t)
 	ctx := context.Background()
@@ -21,24 +21,23 @@ func TestNewSessionInMemory(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sess.Close()
-	old, err := r.OpenSession(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer old.Close()
 
+	shadow := g.Clone()
 	d := marioh.Delta{Ops: []marioh.DeltaOp{{Kind: marioh.DeltaAdd, U: 0, V: 1, W: 2}}}
 	for _, batch := range []marioh.Delta{{}, d} {
-		resNew, err := sess.Apply(ctx, batch)
+		for _, op := range batch.Ops {
+			shadow.AddWeight(op.U, op.V, op.W)
+		}
+		got, err := sess.Apply(ctx, batch)
 		if err != nil {
 			t.Fatal(err)
 		}
-		resOld, err := old.Apply(ctx, batch)
+		want, err := r.Reconstruct(ctx, shadow)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(renderResult(t, resNew), renderResult(t, resOld)) {
-			t.Fatal("NewSession output differs from OpenSession")
+		if !bytes.Equal(renderResult(t, got), renderResult(t, want)) {
+			t.Fatal("NewSession output differs from a from-scratch Reconstruct")
 		}
 	}
 }

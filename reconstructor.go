@@ -4,11 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 
 	"marioh/internal/core"
 	"marioh/internal/eval"
+	"marioh/internal/par"
 	"marioh/internal/service"
 )
 
@@ -227,9 +227,10 @@ func WithNegativeRatio(v float64) Option {
 	}
 }
 
-// WithParallelism bounds the reconstructor's worker fan-out: the
-// ReconstructBatch pool, and the parallel round engine inside every
-// reconstruction (clique enumeration, clique scoring, and per-component
+// WithParallelism is the reconstructor's one worker count. It bounds every
+// fan-out: ReconstructBatch targets, WithSharding shards, the dirty
+// components of a Session Apply, and the round engine inside every
+// reconstruction (clique enumeration, clique scoring and per-component
 // search — see README "Parallel round engine"). 0 (the default) uses
 // GOMAXPROCS; 1 forces the fully serial reference pipeline. Output bytes
 // are identical at every setting.
@@ -266,11 +267,9 @@ type ShardingOptions struct {
 	// cut that preserves exactness). 0 derives the target from the edge
 	// count and shard count.
 	TargetEdges int
-	// Workers bounds how many shards reconstruct concurrently; 0 uses
-	// GOMAXPROCS. Ignored when Executor is set.
-	Workers int
 	// Executor, when non-nil, runs the per-shard tasks on an external
-	// worker pool (e.g. a server job queue) instead of the built-in one.
+	// worker pool (e.g. a server job queue) instead of the built-in
+	// fan-out, which runs at most WithParallelism shards at once.
 	// It must execute every task exactly once and return only when all
 	// of them finished.
 	Executor func(tasks []func())
@@ -293,9 +292,6 @@ func WithSharding(o ShardingOptions) Option {
 		}
 		if o.TargetEdges < 0 {
 			return fmt.Errorf("marioh: shard target %d must be ≥ 0", o.TargetEdges)
-		}
-		if o.Workers < 0 {
-			return fmt.Errorf("marioh: shard workers %d must be ≥ 0", o.Workers)
 		}
 		c.sharding = &o
 		return nil
@@ -434,15 +430,14 @@ func (r *Reconstructor) reconstruct(ctx context.Context, g *Graph, m *Model, opt
 		return core.ReconstructSharded(ctx, g, m, opts, core.ShardOptions{
 			Shards:      s.Shards,
 			TargetEdges: s.TargetEdges,
-			Workers:     s.Workers,
 			Executor:    s.Executor,
 		})
 	}
 	return core.ReconstructContext(ctx, g, m, opts)
 }
 
-// ReconstructBatch reconstructs every target graph using a worker pool of
-// WithParallelism size (GOMAXPROCS by default). Results are positionally
+// ReconstructBatch reconstructs every target graph, at most
+// WithParallelism (GOMAXPROCS by default) at once. Results are positionally
 // aligned with targets. Each target is reconstructed with the same seed a
 // lone Reconstruct call would use, so a batch run is reproducibly equal to
 // len(targets) sequential runs regardless of parallelism.
@@ -456,17 +451,6 @@ func (r *Reconstructor) ReconstructBatch(ctx context.Context, targets []*Graph) 
 		return nil, ErrNoModel
 	}
 	results := make([]*Result, len(targets))
-	if len(targets) == 0 {
-		return results, ctx.Err()
-	}
-	workers := r.cfg.parallelism
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(targets) {
-		workers = len(targets)
-	}
-
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
@@ -486,45 +470,25 @@ func (r *Reconstructor) ReconstructBatch(ctx context.Context, targets []*Graph) 
 		}
 	}
 
-	jobs := make(chan int)
 	var (
-		wg       sync.WaitGroup
 		errMu    sync.Mutex
 		firstErr error
 	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				opts := r.reconstructOptions(progressFor(i))
-				res, err := r.reconstruct(ctx, targets[i], m, opts)
-				results[i] = res
-				if err != nil {
-					errMu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					errMu.Unlock()
-					cancel()
-					return
-				}
-			}
-		}()
-	}
-feed:
-	for i := range targets {
-		select {
-		case jobs <- i:
-		case <-ctx.Done():
-			break feed
+	par.Do(len(targets), core.Workers(r.cfg.parallelism), func(_, i int) {
+		if ctx.Err() != nil {
+			return // abandoned: the entry stays nil
 		}
-	}
-	close(jobs)
-	wg.Wait()
-
-	errMu.Lock()
-	defer errMu.Unlock()
+		res, err := r.reconstruct(ctx, targets[i], m, r.reconstructOptions(progressFor(i)))
+		results[i] = res
+		if err != nil {
+			errMu.Lock()
+			if firstErr == nil {
+				firstErr = err
+			}
+			errMu.Unlock()
+			cancel()
+		}
+	})
 	if firstErr == nil {
 		firstErr = ctx.Err()
 	}

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"marioh"
+	"marioh/internal/core"
 )
 
 // mustDataset generates a named dataset or fails the test.
@@ -21,15 +22,16 @@ func mustDataset(t *testing.T, name string, seed int64) *marioh.Dataset {
 }
 
 // TestNewZeroOptionsMatchesDeprecatedAPI pins the migration contract: a
-// zero-option Reconstructor reproduces the deprecated TrainModel +
-// Reconstruct flow bit for bit on a seeded dataset.
+// zero-option Reconstructor reproduces the engine's own Train +
+// Reconstruct at default options (what the removed TrainModel and
+// Reconstruct wrappers ran) bit for bit on a seeded dataset.
 func TestNewZeroOptionsMatchesDeprecatedAPI(t *testing.T) {
 	ds := mustDataset(t, "crime", 1)
 	src, tgt := ds.Source.Reduced(), ds.Target.Reduced()
 	gS, gT := src.Project(), tgt.Project()
 
-	oldModel := marioh.TrainModel(gS, src, marioh.TrainOptions{Seed: 1})
-	oldRes := marioh.Reconstruct(gT, oldModel, marioh.Options{Seed: 1})
+	oldModel := core.Train(gS, src, core.TrainOptions{Seed: 1})
+	oldRes := core.Reconstruct(gT, oldModel, core.Options{Seed: 1})
 
 	r, err := marioh.New(marioh.WithSeed(1))
 	if err != nil {
@@ -305,7 +307,6 @@ func TestVariantsAndRegistry(t *testing.T) {
 		marioh.WithFeaturizer("nope"),
 		marioh.WithSharding(marioh.ShardingOptions{Shards: -1}),
 		marioh.WithSharding(marioh.ShardingOptions{TargetEdges: -1}),
-		marioh.WithSharding(marioh.ShardingOptions{Workers: -2}),
 		marioh.WithThetaInit(1.5),
 		marioh.WithR(-3),
 		marioh.WithAlpha(-1),

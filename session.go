@@ -90,8 +90,8 @@ type SessionStats struct {
 	WALRecords, WALBytes int64
 	// Snapshots counts the engine snapshots this process wrote.
 	Snapshots int64
-	// Replayed is the number of WAL records the last ResumeSession
-	// replayed to reach the recovered state.
+	// Replayed is the number of WAL records the last resume replayed to
+	// reach the recovered state.
 	Replayed int
 	// RecoveryOutcome classifies the last recovery: "clean", "torn-tail",
 	// "cache-dropped", "snapshot-fallback", or "lost-suffix" (empty for a
@@ -112,17 +112,19 @@ type SessionConfig struct {
 	// Apply appends its delta batch to a write-ahead log before
 	// reconstructing, and engine state is snapshotted periodically.
 	Durable *DurableOptions
-	// Resume recovers the existing durable session in Durable.Dir
-	// (newest valid snapshot + verified WAL replay) instead of creating
-	// a new one. Requires Durable.
+	// Resume recovers the existing durable session in Durable.Dir instead
+	// of creating a new one. Requires Durable. The newest valid snapshot
+	// is loaded and the WAL tail replayed with the recorded graph
+	// fingerprint verified after every record; a torn final record (the
+	// expected crash artifact, a batch never acknowledged) is discarded.
 	Resume bool
 }
 
 // NewSession is the unified session entrypoint: it opens an in-memory,
 // durable, or resumed incremental reconstruction session over r's model
-// and configuration, selected by cfg. It subsumes OpenSession,
-// OpenDurableSession, and ResumeSession, which remain as deprecated
-// wrappers.
+// and configuration, selected by cfg. A new session reconstructs nothing
+// until the first Apply; Apply with an empty Delta produces the initial
+// full reconstruction.
 //
 // The model is pinned at open time: a later r.Train or r.SetModel does
 // not affect the session (mixing models across components would break
@@ -143,82 +145,52 @@ func (r *Reconstructor) NewSession(ctx context.Context, cfg SessionConfig) (*Ses
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	switch {
-	case cfg.Resume:
+	if cfg.Resume {
 		if cfg.Durable == nil {
 			return nil, errors.New("marioh: SessionConfig.Resume requires Durable")
 		}
 		if cfg.Graph != nil {
 			return nil, errors.New("marioh: SessionConfig.Resume recovers its graph from disk; Graph must be nil")
 		}
-		s, err := r.resumeSession(*cfg.Durable)
+	}
+	m := r.Model()
+	if m == nil {
+		return nil, ErrNoModel
+	}
+	opts := r.reconstructOptions(nil)
+	switch {
+	case cfg.Resume:
+		dur, err := durability.Resume(cfg.Durable.Dir, m, opts, cfg.Durable.internal())
 		if err != nil {
 			return nil, err
 		}
 		// The resume may have outlived the caller's interest; don't hand
 		// back a session the caller has already abandoned.
 		if err := ctx.Err(); err != nil {
-			_ = s.Close()
+			_ = dur.Close()
 			return nil, err
 		}
-		return s, nil
-	case cfg.Durable != nil:
-		return r.openDurableSession(cfg.Graph, *cfg.Durable)
-	default:
-		return r.openSession(cfg.Graph)
-	}
-}
-
-// OpenSession starts an incremental reconstruction session over g using
-// r's model and configuration. The graph is copied; the caller's g is
-// never mutated. The session performs no work until the first Apply —
-// Apply with an empty Delta produces the initial full reconstruction.
-//
-// The model is pinned at open time: a later r.Train or r.SetModel does
-// not affect the session (mixing models across components would break the
-// byte-equality guarantee).
-//
-// Deprecated: use r.NewSession(ctx, SessionConfig{Graph: g}).
-func OpenSession(r *Reconstructor, g *Graph) (*Session, error) {
-	return r.openSession(g)
-}
-
-// OpenSession is the method form of marioh.OpenSession.
-//
-// Deprecated: use NewSession(ctx, SessionConfig{Graph: g}).
-func (r *Reconstructor) OpenSession(g *Graph) (*Session, error) {
-	return r.openSession(g)
-}
-
-func (r *Reconstructor) openSession(g *Graph) (*Session, error) {
-	m := r.Model()
-	if m == nil {
-		return nil, ErrNoModel
-	}
-	if g == nil {
+		return &Session{dur: dur}, nil
+	case cfg.Graph == nil:
 		return nil, errors.New("marioh: nil session graph")
+	case cfg.Durable != nil:
+		if cfg.Durable.Dir == "" {
+			return nil, errors.New("marioh: durable session needs a directory")
+		}
+		dur, err := durability.Create(cfg.Durable.Dir, cfg.Graph.Clone(), m, opts, cfg.Durable.internal())
+		if err != nil {
+			return nil, err
+		}
+		return &Session{dur: dur}, nil
+	default:
+		return &Session{eng: incremental.New(cfg.Graph.Clone(), m, opts)}, nil
 	}
-	return &Session{
-		eng: incremental.New(g.Clone(), m, r.reconstructOptions(nil), r.sessionWorkers()),
-	}, nil
-}
-
-// sessionWorkers resolves the engine worker count from the
-// reconstructor's sharding/parallelism configuration.
-func (r *Reconstructor) sessionWorkers() int {
-	if s := r.cfg.sharding; s != nil && s.Workers > 0 {
-		return s.Workers
-	}
-	if r.cfg.parallelism > 0 {
-		return r.cfg.parallelism
-	}
-	return 0
 }
 
 // DurableOptions configures an on-disk session directory.
 type DurableOptions struct {
-	// Dir is the session directory (created by OpenDurableSession if
-	// needed). One directory holds exactly one session.
+	// Dir is the session directory (created by NewSession if needed).
+	// One directory holds exactly one session.
 	Dir string
 	// NoFsync skips fsync on WAL appends and snapshot renames. Appends
 	// still reach the kernel before Apply returns — the session survives a
@@ -226,7 +198,7 @@ type DurableOptions struct {
 	NoFsync bool
 	// SnapshotEvery is the number of applies between engine snapshots; 0
 	// means the default (8), negative disables periodic snapshots (Close
-	// and ResumeSession still write one).
+	// and a resume still write one).
 	SnapshotEvery int
 	// Logf receives recovery and degradation notices; nil discards them.
 	Logf func(format string, args ...any)
@@ -237,82 +209,8 @@ func (o DurableOptions) internal() durability.Options {
 }
 
 // HasDurableSession reports whether dir holds a durable session (and so
-// whether ResumeSession or OpenDurableSession is the right call).
+// whether NewSession should resume it or create one).
 func HasDurableSession(dir string) bool { return durability.Exists(dir) }
-
-// OpenDurableSession starts a durable incremental session over g, backed
-// by o.Dir: every Apply appends the delta batch to a write-ahead log
-// before reconstructing, and the engine state is snapshotted
-// periodically, so after a crash ResumeSession recovers the session
-// byte-identically to a cold rebuild. The directory must not already
-// hold a session. The graph is copied; the caller's g is never mutated.
-//
-// Deprecated: use r.NewSession(ctx, SessionConfig{Graph: g, Durable: &o}).
-func OpenDurableSession(r *Reconstructor, g *Graph, o DurableOptions) (*Session, error) {
-	return r.openDurableSession(g, o)
-}
-
-// OpenDurableSession is the method form of marioh.OpenDurableSession.
-//
-// Deprecated: use NewSession(ctx, SessionConfig{Graph: g, Durable: &o}).
-func (r *Reconstructor) OpenDurableSession(g *Graph, o DurableOptions) (*Session, error) {
-	return r.openDurableSession(g, o)
-}
-
-func (r *Reconstructor) openDurableSession(g *Graph, o DurableOptions) (*Session, error) {
-	m := r.Model()
-	if m == nil {
-		return nil, ErrNoModel
-	}
-	if g == nil {
-		return nil, errors.New("marioh: nil session graph")
-	}
-	if o.Dir == "" {
-		return nil, errors.New("marioh: durable session needs a directory")
-	}
-	dur, err := durability.Create(o.Dir, g.Clone(), m, r.reconstructOptions(nil), r.sessionWorkers(), o.internal())
-	if err != nil {
-		return nil, err
-	}
-	return &Session{dur: dur}, nil
-}
-
-// ResumeSession recovers the durable session in o.Dir: the newest valid
-// snapshot is loaded and the WAL tail is replayed through the engine
-// with the recorded graph fingerprint verified after every record. A
-// torn final record (the expected crash artifact) is discarded — that
-// batch was never acknowledged. Deeper damage degrades along the
-// snapshot chain and is reported in SessionStats.RecoveryOutcome; only
-// when no consistent state can be proven does ResumeSession return an
-// error, never a wrong answer.
-//
-// The reconstructor must carry the same model and configuration the
-// session was created with; byte-identity is asserted against the
-// recorded fingerprints during replay.
-//
-// Deprecated: use r.NewSession(ctx, SessionConfig{Durable: &o, Resume: true}).
-func ResumeSession(r *Reconstructor, o DurableOptions) (*Session, error) {
-	return r.resumeSession(o)
-}
-
-// ResumeSession is the method form of marioh.ResumeSession.
-//
-// Deprecated: use NewSession(ctx, SessionConfig{Durable: &o, Resume: true}).
-func (r *Reconstructor) ResumeSession(o DurableOptions) (*Session, error) {
-	return r.resumeSession(o)
-}
-
-func (r *Reconstructor) resumeSession(o DurableOptions) (*Session, error) {
-	m := r.Model()
-	if m == nil {
-		return nil, ErrNoModel
-	}
-	dur, err := durability.Resume(o.Dir, m, r.reconstructOptions(nil), r.sessionWorkers(), o.internal())
-	if err != nil {
-		return nil, err
-	}
-	return &Session{dur: dur}, nil
-}
 
 // Apply mutates the session graph with a batch of deltas and returns the
 // reconstruction of the whole mutated graph, recomputing only the
@@ -386,10 +284,10 @@ func (s *Session) Sync() error {
 	return nil
 }
 
-// Close writes a final snapshot (so the next ResumeSession replays
-// nothing) and releases the durable session's file handles. In-memory
-// sessions close trivially. Safe to call twice; a closed session's
-// Apply returns an error.
+// Close writes a final snapshot (so the next resume replays nothing) and
+// releases the durable session's file handles. In-memory sessions close
+// trivially. Safe to call twice; a closed session's Apply returns an
+// error.
 func (s *Session) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
