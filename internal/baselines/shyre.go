@@ -75,7 +75,7 @@ func (s *Shyre) Train(gSrc *graph.Graph, hSrc *hypergraph.Hypergraph) {
 	edgeIndex := buildNodeIndex(hSrc)
 	for _, q := range cliques {
 		countN[len(q)]++
-		for _, em := range containedHyperedges(hSrc, edgeIndex, q) {
+		for _, em := range containedHyperedges(edgeIndex, q) {
 			s.rho[[2]int{len(q), len(em)}]++
 		}
 	}
@@ -84,33 +84,39 @@ func (s *Shyre) Train(gSrc *graph.Graph, hSrc *hypergraph.Hypergraph) {
 	}
 }
 
-// buildNodeIndex maps each node to the keys of hyperedges containing it.
-func buildNodeIndex(h *hypergraph.Hypergraph) map[int][]string {
-	idx := make(map[int][]string)
-	for _, k := range h.Keys() {
-		for _, u := range h.EdgeByKey(k) {
-			idx[u] = append(idx[u], k)
+// nodeIndex lists the unique hyperedges of a hypergraph with, per node,
+// the positions of the hyperedges containing it.
+type nodeIndex struct {
+	edges  [][]int
+	byNode map[int][]int
+}
+
+func buildNodeIndex(h *hypergraph.Hypergraph) nodeIndex {
+	idx := nodeIndex{edges: h.UniqueEdges(), byNode: make(map[int][]int)}
+	for i, e := range idx.edges {
+		for _, u := range e {
+			idx.byNode[u] = append(idx.byNode[u], i)
 		}
 	}
 	return idx
 }
 
-// containedHyperedges returns the unique hyperedges of h fully contained in
-// clique q.
-func containedHyperedges(h *hypergraph.Hypergraph, idx map[int][]string, q []int) [][]int {
+// containedHyperedges returns the unique hyperedges of the indexed
+// hypergraph fully contained in clique q.
+func containedHyperedges(idx nodeIndex, q []int) [][]int {
 	inQ := make(map[int]bool, len(q))
 	for _, u := range q {
 		inQ[u] = true
 	}
-	seen := make(map[string]bool)
+	seen := make(map[int]bool)
 	var out [][]int
 	for _, u := range q {
-		for _, k := range idx[u] {
-			if seen[k] {
+		for _, i := range idx.byNode[u] {
+			if seen[i] {
 				continue
 			}
-			seen[k] = true
-			e := h.EdgeByKey(k)
+			seen[i] = true
+			e := idx.edges[i]
 			ok := true
 			for _, v := range e {
 				if !inQ[v] {

@@ -266,6 +266,13 @@ type PermSampler struct {
 
 // Sample returns a sorted random k-subset of q.
 func (ps *PermSampler) Sample(q []int, k int, rng Intner) []int {
+	return ps.SampleInto(make([]int, k), q, rng)
+}
+
+// SampleInto is Sample with a caller-owned result: it fills dst with a
+// sorted random len(dst)-subset of q, consuming exactly the draws Sample
+// does, and returns dst.
+func (ps *PermSampler) SampleInto(dst, q []int, rng Intner) []int {
 	n := len(q)
 	if cap(ps.perm) < n {
 		ps.perm = make([]int, n)
@@ -276,10 +283,9 @@ func (ps *PermSampler) Sample(q []int, k int, rng Intner) []int {
 		p[i] = p[j]
 		p[j] = i
 	}
-	out := make([]int, k)
-	for i, j := range p[:k] {
-		out[i] = q[j]
+	for i, j := range p[:len(dst)] {
+		dst[i] = q[j]
 	}
-	sort.Ints(out)
-	return out
+	sort.Ints(dst)
+	return dst
 }

@@ -40,9 +40,10 @@ type Options struct {
 	MaxCliqueLimit int
 	Seed           int64
 	// Parallelism is the one worker count: maximal-clique enumeration,
-	// clique scoring and the per-component search inside each round, the
-	// shards of ReconstructSharded and the dirty components of an
-	// incremental Apply each use at most this many workers (see Workers).
+	// clique scoring, the per-component search and Phase-2 sub-clique
+	// scoring inside each round, the shards of ReconstructSharded and the
+	// dirty components of an incremental Apply each use at most this many
+	// workers (see Workers).
 	// 0 = one worker per GOMAXPROCS; 1 = fully serial (the reference
 	// pipeline). Output bytes are identical at every setting — see README
 	// "Parallel round engine".
@@ -202,6 +203,7 @@ func reconstructGraph(ctx context.Context, g *graph.Graph, m *Model, opts Option
 	}
 
 	theta := opts.ThetaInit
+	scorers := make([]scorer, Workers(opts.Parallelism))
 	t1 := time.Now() //lint:randsource stage timing recorded in Result.Times, never in reconstruction output
 	defer func() { res.Times.Bidirectional = time.Since(t1) }()
 	for round := 0; round < opts.MaxRounds && work.NumEdges() > 0; round++ {
@@ -228,6 +230,7 @@ func reconstructGraph(ctx context.Context, g *graph.Graph, m *Model, opts Option
 			// positive score is accepted — so real models never hit it.
 			StallDump: theta == 0 || opts.Alpha == 0,
 			cache:     cache,
+			scorers:   scorers,
 		}, rec)
 		total += accepted
 		if opts.Progress != nil {

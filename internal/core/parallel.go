@@ -16,8 +16,8 @@ const defaultScoreParallelThreshold = 256
 // Workers maps an Options.Parallelism value to a worker count: ≤ 0 means
 // one worker per GOMAXPROCS, otherwise the value itself. It is the one
 // place a parallelism setting is resolved: every fan-out the library runs
-// (enumeration, scoring, component search, shards, dirty session
-// components, batch targets) is sized by it.
+// (enumeration, scoring, component search, Phase-2 sub-clique scoring,
+// shards, dirty session components, batch targets) is sized by it.
 func Workers(parallelism int) int {
 	if parallelism <= 0 {
 		return runtime.GOMAXPROCS(0)
@@ -52,12 +52,13 @@ func fanout(n, workers, threshold int) int {
 //
 // Bytes cannot depend on workers: graph.MaximalCliquesParallel reproduces
 // the serial stream (and its limit cutoff) exactly, and a clique's score
-// depends only on the graph and the clique.
-func enumerateScored(g *graph.Graph, m *Model, limit, workers, threshold int, mapBack []int) ([]scoredClique, bool) {
+// depends only on the graph and the clique. scorers are the per-worker
+// scoring buffers, as in scoreCliques.
+func enumerateScored(g *graph.Graph, m *Model, limit, workers, threshold int, mapBack []int, scorers []scorer) ([]scoredClique, bool) {
 	workers = fanout(g.NumEdges(), workers, threshold)
 	cliques := g.MaximalCliquesParallel(2, limit, workers)
 	truncated := limit > 0 && len(cliques) >= limit
-	scored := scoreCliques(g, m, cliques, workers, threshold)
+	scored := scoreCliques(g, m, cliques, workers, threshold, scorers)
 	if mapBack != nil {
 		for _, sc := range scored {
 			for j, u := range sc.nodes {
@@ -73,7 +74,7 @@ func enumerateScored(g *graph.Graph, m *Model, limit, workers, threshold int, ma
 // of the per-round scoring pass, used by benchmarks and analyses; it runs
 // at the default parallelism (GOMAXPROCS) and threshold.
 func ScoreCliques(g *graph.Graph, m *Model, cliques [][]int) []float64 {
-	scored := scoreCliques(g, m, cliques, Workers(0), defaultScoreParallelThreshold)
+	scored := scoreCliques(g, m, cliques, Workers(0), defaultScoreParallelThreshold, nil)
 	out := make([]float64, len(scored))
 	for i, s := range scored {
 		out[i] = s.score
@@ -86,11 +87,15 @@ func ScoreCliques(g *graph.Graph, m *Model, cliques [][]int) []float64 {
 // threshold cliques fan out across up to workers goroutines; results are
 // written by index, keeping the output identical to the sequential path.
 // Each worker owns one scorer, so the whole pass reuses feature and
-// activation buffers instead of allocating per clique.
-func scoreCliques(g *graph.Graph, m *Model, cliques [][]int, workers, threshold int) []scoredClique {
+// activation buffers instead of allocating per clique; scorers supplies
+// them when it has an entry per worker (a run keeps one set across its
+// rounds), and the pass allocates its own otherwise.
+func scoreCliques(g *graph.Graph, m *Model, cliques [][]int, workers, threshold int, scorers []scorer) []scoredClique {
 	scored := make([]scoredClique, len(cliques))
 	w := fanout(len(cliques), workers, threshold)
-	scorers := make([]scorer, w)
+	if len(scorers) < w {
+		scorers = make([]scorer, w)
+	}
 	par.Do(len(cliques), w, func(wk, i int) {
 		scored[i] = scoredClique{nodes: cliques[i], score: m.scoreScratch(g, cliques[i], true, &scorers[wk])}
 	})

@@ -3,11 +3,16 @@ package core
 import (
 	"bytes"
 	"context"
+	"math"
 	"runtime"
+	"slices"
+	"sort"
+	"strings"
 	"testing"
 
 	"marioh/internal/datasets"
 	"marioh/internal/graph"
+	"marioh/internal/hypergraph"
 )
 
 // TestParallelTuningDefaults pins the documented default of the round
@@ -81,12 +86,12 @@ func TestPipelineEnumerateScoredMatchesSerial(t *testing.T) {
 	m, g := pipelineTestSetup(t)
 
 	wantCliques := g.MaximalCliquesLimit(2, -1)
-	want := scoreCliques(g, m, wantCliques, 1, defaultScoreParallelThreshold)
+	want := scoreCliques(g, m, wantCliques, 1, defaultScoreParallelThreshold, nil)
 	sortByScoreDesc(want)
 
 	check := func(label string, workers, threshold int) {
 		t.Helper()
-		got, truncated := enumerateScored(g, m, -1, workers, threshold, nil)
+		got, truncated := enumerateScored(g, m, -1, workers, threshold, nil, nil)
 		if truncated {
 			t.Fatalf("%s workers=%d: unexpected truncation without a limit", label, workers)
 		}
@@ -114,9 +119,9 @@ func TestPipelineEnumerateScoredMatchesSerial(t *testing.T) {
 
 	// The limit path must reproduce the serial truncation prefix exactly.
 	for _, limit := range []int{1, 5, len(wantCliques), len(wantCliques) + 10} {
-		ref := scoreCliques(g, m, g.MaximalCliquesLimit(2, limit), 1, defaultScoreParallelThreshold)
+		ref := scoreCliques(g, m, g.MaximalCliquesLimit(2, limit), 1, defaultScoreParallelThreshold, nil)
 		for _, workers := range []int{1, 2, 4, 8} {
-			got, truncated := enumerateScored(g, m, limit, workers, 1, nil)
+			got, truncated := enumerateScored(g, m, limit, workers, 1, nil, nil)
 			if wantTrunc := limit <= len(wantCliques); truncated != wantTrunc {
 				t.Fatalf("limit=%d workers=%d: truncated=%v, want %v", limit, workers, truncated, wantTrunc)
 			}
@@ -188,6 +193,90 @@ func TestParallelRoundEngineMatchesSerial(t *testing.T) {
 		}
 		if !bytes.Equal(render(sharded), want) {
 			t.Errorf("Parallelism=%d sharded orchestrator diverged", par)
+		}
+	}
+}
+
+// TestPhase2ParallelScoringMatchesSerial: Phase-2 sub-clique scores
+// computed across workers, through each parent's pinned pair statistics,
+// equal a fresh serial Model.Score of every sub-clique on the post-Phase-1
+// graph, and a whole round's output and residual match at Parallelism 1,
+// 2 and 8 — with Phase 2 accepting something, so the check is not vacuous.
+func TestPhase2ParallelScoringMatchesSerial(t *testing.T) {
+	m, g0 := pipelineTestSetup(t)
+	for _, theta := range []float64{0.9, 0.5} {
+		opts := SearchOptions{Theta: theta, R: 40, Seed: 1, Round: 3}
+
+		// Scoring alone: Phase 1 once, then score the candidates serially
+		// and fanned out, and compare both with fresh scoring.
+		g := g0.Clone()
+		key := componentKeys(g, nil)
+		groups := map[int][]scoredClique{}
+		for _, sc := range scoreCliques(g, m, g.MaximalCliques(2), 1, 1, nil) {
+			groups[key[sc.nodes[0]]] = append(groups[key[sc.nodes[0]]], sc)
+		}
+		keys := make([]int, 0, len(groups))
+		for k := range groups {
+			keys = append(keys, k)
+		}
+		sort.Ints(keys)
+		comps := make([]componentRound, len(keys))
+		for i, k := range keys {
+			comps[i] = searchComponent(g, opts, k, groups[k])
+		}
+		scores := func(workers int) []float64 {
+			var out []float64
+			scoreSubcliques(context.Background(), g, m, comps, make([]scorer, workers), workers, 1)
+			for _, c := range comps {
+				for _, b := range c.batches {
+					for j := range b.subs {
+						out = append(out, b.subs[j].score)
+						b.subs[j].score = -1
+					}
+				}
+			}
+			return out
+		}
+		serial, fanned := scores(1), scores(4)
+		var fresh []float64
+		for _, c := range comps {
+			for _, b := range c.batches {
+				for _, sc := range b.subs {
+					fresh = append(fresh, m.Score(g, sc.nodes, false))
+				}
+			}
+		}
+		if len(fresh) == 0 {
+			t.Fatalf("θ=%v: no Phase-2 candidates", theta)
+		}
+		for i := range fresh {
+			if math.Float64bits(serial[i]) != math.Float64bits(fresh[i]) || math.Float64bits(fanned[i]) != math.Float64bits(fresh[i]) {
+				t.Fatalf("θ=%v candidate %d: serial %v, 4 workers %v, fresh %v", theta, i, serial[i], fanned[i], fresh[i])
+			}
+		}
+
+		// Whole rounds.
+		round := func(par int, noPhase2 bool) (string, []graph.Edge) {
+			g := g0.Clone()
+			o := opts
+			o.Parallelism, o.ScoreParallelThreshold, o.DisableSubcliques = par, 1, noPhase2
+			rec := hypergraph.New(g.NumNodes())
+			BidirectionalSearch(g, m, o, rec)
+			var b strings.Builder
+			if err := rec.Write(&b); err != nil {
+				t.Fatal(err)
+			}
+			return b.String(), g.Edges()
+		}
+		want, wantResidual := round(1, false)
+		if phase1Only, _ := round(1, true); phase1Only == want {
+			t.Fatalf("θ=%v: Phase 2 accepted nothing; the round comparison would be vacuous", theta)
+		}
+		for _, par := range []int{2, 8} {
+			got, residual := round(par, false)
+			if got != want || !slices.Equal(residual, wantResidual) {
+				t.Errorf("θ=%v Parallelism=%d: round diverged from Parallelism 1", theta, par)
+			}
 		}
 	}
 }

@@ -67,12 +67,13 @@ type SearchOptions struct {
 	// the same component.
 	OrigID []int
 	// Parallelism bounds the worker fan-out of the round (enumeration,
-	// scoring, per-component search); ≤ 0 = GOMAXPROCS, 1 = serial.
+	// scoring, per-component search, Phase-2 scoring); ≤ 0 = GOMAXPROCS,
+	// 1 = serial.
 	// Output bytes are identical at every setting.
 	Parallelism int
 	// ScoreParallelThreshold is the round size at which enumeration (by
-	// residual edge count) and scoring (by clique count) fan out; ≤ 0 =
-	// the documented default (256).
+	// residual edge count), scoring (by clique count) and Phase-2 scoring
+	// (by sub-clique count) fan out; ≤ 0 = the documented default (256).
 	ScoreParallelThreshold int
 	// PipelineChunk has no effect.
 	//
@@ -90,6 +91,10 @@ type SearchOptions struct {
 	// scores if the residual graph has not changed, and records this
 	// round's for the next.
 	cache *roundCache
+	// scorers, when it has at least Workers(Parallelism) entries, holds
+	// the per-worker scoring buffers, so a run reuses one set across its
+	// rounds; otherwise the round allocates its own.
+	scorers []scorer
 }
 
 // BidirectionalSearch performs one round of MARIOH's Algorithm 3 on the
@@ -122,6 +127,10 @@ func BidirectionalSearch(g *graph.Graph, m *Model, opts SearchOptions, rec *hype
 	threshold := opts.ScoreParallelThreshold
 	if threshold <= 0 {
 		threshold = defaultScoreParallelThreshold
+	}
+	scorers := opts.scorers
+	if len(scorers) < workers {
+		scorers = make([]scorer, workers)
 	}
 	key := componentKeys(g, opts.OrigID)
 
@@ -158,14 +167,14 @@ func BidirectionalSearch(g *graph.Graph, m *Model, opts SearchOptions, rec *hype
 		if opts.cache == nil || len(opts.cache.comps) == 0 {
 			// Cache-free (the serial pipeline) or fully cold: enumerate
 			// and score the graph directly.
-			scored, truncated = enumerateScored(g, m, limit, workers, threshold, nil)
+			scored, truncated = enumerateScored(g, m, limit, workers, threshold, nil, scorers)
 		} else {
 			// Re-enumerate and re-score only the changed components,
 			// through the induced subgraph — exact because dirtyNodes is
 			// a union of whole components, the relabeling is
 			// order-preserving, and every feature is component-local.
 			sub, back := g.Subgraph(dirtyNodes)
-			scored, truncated = enumerateScored(sub, m, limit, workers, threshold, back)
+			scored, truncated = enumerateScored(sub, m, limit, workers, threshold, back, scorers)
 		}
 		if ctx.Err() != nil {
 			return 0
@@ -184,35 +193,45 @@ func BidirectionalSearch(g *graph.Graph, m *Model, opts SearchOptions, rec *hype
 	}
 	sort.Ints(keys)
 
-	// Search the components concurrently. Safe because components never
-	// share edges: each worker mutates only its component's adjacency rows
-	// (the graph's global edge/weight counters are atomic), and every graph
-	// read a component's search performs — scoring features, edge-presence
-	// checks — is local to that component, so it observes exactly the
-	// state a serial walk would. Acceptances land in index-addressed
-	// per-component buffers and are merged into rec in ascending key order
-	// after the join, so rec's insertion order, the acceptance counts and
-	// the cache bookkeeping do not depend on workers.
-	results := make([][][]int, len(keys))
-	searched := make([]bool, len(keys))
+	// Search the components in three passes, each fanned out: Phase 1 and
+	// Phase-2 sampling per component, Phase-2 scoring per parent clique
+	// across all components, then Phase-2 acceptance per component. Safe
+	// because components never share edges: each worker mutates only its
+	// component's adjacency rows (the graph's global edge/weight counters
+	// are atomic), and every graph read a component's search performs —
+	// scoring features, edge-presence checks — is local to that component,
+	// so it observes exactly the state a serial walk would. Scoring runs
+	// while nothing mutates, after every component's Phase 1 and before
+	// any Phase-2 acceptance — the state a serial walk scores sub-cliques
+	// in. Acceptances land in index-addressed per-component buffers and
+	// are merged into rec in ascending key order after the join, so rec's
+	// insertion order, the acceptance counts and the cache bookkeeping do
+	// not depend on workers.
+	comps := make([]componentRound, len(keys))
 	par.Do(len(keys), workers, func(_, i int) {
 		if ctx.Err() != nil {
 			return
 		}
-		results[i] = searchComponent(g, m, opts, keys[i], groups[keys[i]])
-		searched[i] = true
+		comps[i] = searchComponent(g, opts, keys[i], groups[keys[i]])
+	})
+	scoreSubcliques(ctx, g, m, comps, scorers, workers, threshold)
+	par.Do(len(keys), workers, func(_, i int) {
+		if ctx.Err() != nil {
+			return
+		}
+		comps[i].acceptSubcliques(g, opts.Theta)
 	})
 	accepted := 0
 	acceptedBy := make(map[int]int, len(groups))
 	for i, k := range keys {
-		if !searched[i] {
+		if !comps[i].searched {
 			continue // skipped by cancellation; stays out of acceptedBy
 		}
-		for _, e := range results[i] {
+		for _, e := range comps[i].accepted {
 			rec.Add(e)
 		}
-		acceptedBy[k] = len(results[i])
-		accepted += len(results[i])
+		acceptedBy[k] = len(comps[i].accepted)
+		accepted += len(comps[i].accepted)
 	}
 
 	if opts.StallDump && ctx.Err() == nil {
@@ -243,16 +262,32 @@ func BidirectionalSearch(g *graph.Graph, m *Model, opts SearchOptions, rec *hype
 	return accepted
 }
 
-// searchComponent runs both phases of a round on one component's cliques,
-// consuming accepted cliques from g and returning them in acceptance
-// order; the caller records them into the reconstruction. Mutations and
-// reads stay inside the component, which is what makes the parallel
-// fan-out above exact.
-func searchComponent(g *graph.Graph, m *Model, opts SearchOptions, compKey int, cliques []scoredClique) [][]int {
+// componentRound is one component's share of a round: its acceptances in
+// order, and the Phase-2 candidates waiting to be scored and accepted.
+type componentRound struct {
+	accepted [][]int
+	batches  []subcliqueBatch
+	searched bool // false if cancellation skipped the component
+}
+
+// subcliqueBatch is one Phase-2 parent clique and the sub-cliques sampled
+// from it, scored together against the parent's pair statistics.
+type subcliqueBatch struct {
+	parent []int
+	subs   []scoredClique
+}
+
+// searchComponent runs Phase 1 of a round on one component's cliques,
+// consuming accepted cliques from g, and then samples the component's
+// Phase-2 candidates; scoreSubcliques and acceptSubcliques finish the
+// round. Mutations and reads stay inside the component, which is what
+// makes the parallel fan-out over components exact.
+func searchComponent(g *graph.Graph, opts SearchOptions, compKey int, cliques []scoredClique) componentRound {
 	ctx := opts.Ctx
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	cr := componentRound{searched: true}
 	var pos, rest []scoredClique
 	for _, sc := range cliques {
 		if sc.score > opts.Theta {
@@ -262,57 +297,116 @@ func searchComponent(g *graph.Graph, m *Model, opts SearchOptions, compKey int, 
 		}
 	}
 
-	var accepted [][]int
 	// Phase 1: most promising cliques, highest score first.
 	sortByScoreDesc(pos)
 	for i, sc := range pos {
 		if i&0x3ff == 0 && ctx.Err() != nil {
-			return accepted
+			return cr
 		}
 		if allEdgesPresent(g, sc.nodes) {
-			accepted = append(accepted, sc.nodes)
+			cr.accepted = append(cr.accepted, sc.nodes)
 			consumeClique(g, sc.nodes)
 		}
 	}
 
 	if opts.DisableSubcliques || ctx.Err() != nil {
-		return accepted
+		return cr
 	}
 
 	// Phase 2: least promising cliques — the component's lowest r% by
 	// score — with a sampling stream owned by (seed, round, component).
+	// Each parent q yields one k-sub-clique per k ∈ [2, |q|−1], drawn here
+	// in stream order into one exactly sized node buffer: Σ_k k =
+	// |q|(|q|−1)/2 − 1 nodes per parent.
 	sortByScoreAsc(rest)
 	nNeg := int(float64(len(rest)) * opts.R / 100)
 	if nNeg > len(rest) {
 		nNeg = len(rest)
 	}
-	if nNeg == 0 {
-		return accepted
+	parents := rest[:nNeg]
+	nSubs, nNodes, nBatches := 0, 0, 0
+	for _, sc := range parents {
+		if q := len(sc.nodes); q >= 3 {
+			nSubs += q - 2
+			nNodes += q*(q-1)/2 - 1
+			nBatches++
+		}
 	}
+	if nSubs == 0 {
+		return cr
+	}
+	buf := make([]int, nNodes)
+	subs := make([]scoredClique, 0, nSubs)
+	cr.batches = make([]subcliqueBatch, 0, nBatches)
 	rng := newSampleRNG(sampleSeed(opts.Seed, opts.Round, compKey))
-	var subs []scoredClique
 	var ps PermSampler
-	var scorerBuf scorer
-	for i, sc := range rest[:nNeg] {
+	for i, sc := range parents {
 		if i&0x3ff == 0 && ctx.Err() != nil {
-			return accepted
+			return cr
 		}
 		q := sc.nodes
+		if len(q) < 3 {
+			continue
+		}
+		first := len(subs)
 		for k := 2; k <= len(q)-1; k++ {
-			sub := ps.Sample(q, k, rng)
-			if s := m.scoreScratch(g, sub, false, &scorerBuf); s > opts.Theta {
-				subs = append(subs, scoredClique{nodes: sub, score: s})
+			subs = append(subs, scoredClique{nodes: ps.SampleInto(buf[:k:k], q, rng)})
+			buf = buf[k:]
+		}
+		cr.batches = append(cr.batches, subcliqueBatch{parent: q, subs: subs[first:]})
+	}
+	return cr
+}
+
+// scoreSubcliques scores every Phase-2 candidate of the round, fanned out
+// over parent cliques across all components (serially, inline, when the
+// round has fewer candidates than threshold or workers is 1). Each worker
+// keeps its own scorer and pins the parent in it, so a sub-clique's pair
+// statistics are indexed from one sweep of its parent on the current
+// graph rather than swept afresh — bit-identical, since a pair's
+// statistics do not depend on the clique around it. ctx is polled before
+// every parent.
+func scoreSubcliques(ctx context.Context, g *graph.Graph, m *Model, comps []componentRound, scorers []scorer, workers, threshold int) {
+	var batches []*subcliqueBatch
+	n := 0
+	for i := range comps {
+		for j := range comps[i].batches {
+			batches = append(batches, &comps[i].batches[j])
+			n += len(comps[i].batches[j].subs)
+		}
+	}
+	par.Do(len(batches), fanout(n, workers, threshold), func(wk, i int) {
+		if ctx.Err() != nil {
+			return
+		}
+		b, sc := batches[i], &scorers[wk]
+		sc.feat.Pin(g, b.parent)
+		for j := range b.subs {
+			b.subs[j].score = m.scoreScratch(g, b.subs[j].nodes, false, sc)
+		}
+		sc.feat.Unpin()
+	})
+}
+
+// acceptSubcliques ends the component's round: the scored Phase-2
+// candidates above θ are accepted highest score first, each only if all
+// its edges are still present.
+func (cr *componentRound) acceptSubcliques(g *graph.Graph, theta float64) {
+	var above []scoredClique
+	for _, b := range cr.batches {
+		for _, sc := range b.subs {
+			if sc.score > theta {
+				above = append(above, sc)
 			}
 		}
 	}
-	sortByScoreDesc(subs)
-	for _, sc := range subs {
+	sortByScoreDesc(above)
+	for _, sc := range above {
 		if allEdgesPresent(g, sc.nodes) {
-			accepted = append(accepted, sc.nodes)
+			cr.accepted = append(cr.accepted, sc.nodes)
 			consumeClique(g, sc.nodes)
 		}
 	}
-	return accepted
 }
 
 // dumpStalledComponents consumes the remaining edges of every component

@@ -3,10 +3,13 @@ package corpus
 import (
 	"bytes"
 	"context"
+	"fmt"
+	"slices"
 	"testing"
 
 	"marioh/internal/core"
 	"marioh/internal/graph"
+	"marioh/internal/hypergraph"
 	"marioh/internal/incremental"
 )
 
@@ -26,6 +29,17 @@ func applyToShadow(g *graph.Graph, op graph.DeltaOp) {
 		g.RemoveEdge(op.U, op.V)
 	case graph.DeltaSet:
 		g.SetWeight(op.U, op.V, op.W)
+	}
+}
+
+// checkProjects fails t unless the clique expansion of h is exactly g,
+// edge for edge and weight for weight: an oracle every correct
+// reconstruction meets whatever the classifier does, so it does not
+// depend on the engine agreeing with itself.
+func checkProjects(t testing.TB, what string, h *hypergraph.Hypergraph, g *graph.Graph) {
+	t.Helper()
+	if got, want := h.Project().Edges(), g.Edges(); !slices.Equal(got, want) {
+		t.Errorf("%s: projection differs from the input graph (%d edges, input has %d)", what, len(got), len(want))
 	}
 }
 
@@ -79,6 +93,7 @@ func TestEngineMatchesRebuildOverCorpus(t *testing.T) {
 						"(%d vs %d unique hyperedges)", start, end,
 						got.Hypergraph.NumUnique(), want.Hypergraph.NumUnique())
 				}
+				checkProjects(t, fmt.Sprintf("ops [%d,%d): engine", start, end), got.Hypergraph, shadow)
 				if start >= len(ops) {
 					break
 				}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"sync"
@@ -105,10 +106,12 @@ func TestFamilyGoldenShardEquivalence(t *testing.T) {
 		f := f
 		t.Run(f.Name, func(t *testing.T) {
 			opts := core.Options{Seed: 1}
+			input := f.Gen(1)
 			serial, err := core.ReconstructContext(context.Background(), f.Gen(1), m, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
+			checkProjects(t, "serial", serial.Hypergraph, input)
 			var want bytes.Buffer
 			if err := serial.Hypergraph.Write(&want); err != nil {
 				t.Fatal(err)
@@ -126,6 +129,7 @@ func TestFamilyGoldenShardEquivalence(t *testing.T) {
 				if !bytes.Equal(got.Bytes(), want.Bytes()) {
 					t.Fatalf("-shards %d diverges from serial bytes", shards)
 				}
+				checkProjects(t, fmt.Sprintf("-shards %d", shards), res.Hypergraph, input)
 			}
 		})
 	}

@@ -171,16 +171,9 @@ func writeSnapshot(w io.Writer, st *incremental.EngineState, fp uint64) error {
 // count is not stored: cached results merge through AddMult, which only
 // reads the edges.
 func entryLines(rec *hypergraph.Hypergraph) []string {
-	type em struct {
-		nodes []int
-		mult  int
-	}
-	edges := make([]em, 0, rec.NumUnique())
-	rec.Each(func(nodes []int, mult int) {
-		edges = append(edges, em{nodes: nodes, mult: mult})
-	})
+	edges := rec.EdgesWithMult()
 	sort.Slice(edges, func(i, j int) bool {
-		a, b := edges[i].nodes, edges[j].nodes
+		a, b := edges[i].Nodes, edges[j].Nodes
 		for k := 0; k < len(a) && k < len(b); k++ {
 			if a[k] != b[k] {
 				return a[k] < b[k]
@@ -191,8 +184,8 @@ func entryLines(rec *hypergraph.Hypergraph) []string {
 	out := make([]string, len(edges))
 	for i, e := range edges {
 		var sb strings.Builder
-		sb.WriteString(strconv.Itoa(e.mult))
-		for _, u := range e.nodes {
+		sb.WriteString(strconv.Itoa(e.Mult))
+		for _, u := range e.Nodes {
 			sb.WriteByte(' ')
 			sb.WriteString(strconv.Itoa(u))
 		}

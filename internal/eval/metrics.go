@@ -25,11 +25,11 @@ func Jaccard(a, b *hypergraph.Hypergraph) float64 {
 	if nb < na {
 		small, large = b, a
 	}
-	for _, k := range small.Keys() {
-		if large.ContainsKey(k) {
+	small.Each(func(nodes []int, _ int) {
+		if large.Contains(nodes) {
 			inter++
 		}
-	}
+	})
 	return float64(inter) / float64(na+nb-inter)
 }
 
@@ -41,16 +41,16 @@ func MultiJaccard(a, b *hypergraph.Hypergraph) float64 {
 		return 1
 	}
 	sumMin, sumMax := 0, 0
-	for _, k := range a.Keys() {
-		ma, mb := a.MultiplicityKey(k), b.MultiplicityKey(k)
+	a.Each(func(nodes []int, ma int) {
+		mb := b.Multiplicity(nodes)
 		sumMin += min(ma, mb)
 		sumMax += max(ma, mb)
-	}
-	for _, k := range b.Keys() {
-		if !a.ContainsKey(k) {
-			sumMax += b.MultiplicityKey(k)
+	})
+	b.Each(func(nodes []int, mb int) {
+		if !a.Contains(nodes) {
+			sumMax += mb
 		}
-	}
+	})
 	if sumMax == 0 {
 		return 0
 	}

@@ -51,6 +51,15 @@ type Scratch struct {
 	pair                      graph.PairScratch
 }
 
+// Pin makes pair statistics of later cliques drawn from parent come from
+// one sweep of parent on g, until Unpin (see graph.PairScratch.Pin). The
+// features are bit-identical to unpinned ones; scoring many sub-cliques of
+// one clique gets cheaper. g must not change while pinned.
+func (s *Scratch) Pin(g *graph.Graph, parent []int) { s.pair.Pin(g, parent) }
+
+// Unpin drops the pin set by Pin.
+func (s *Scratch) Unpin() { s.pair.Unpin() }
+
 // Compute evaluates f on the clique. When f supports the allocation-free
 // path the result lives in s's reusable output buffer and is only valid
 // until the next Compute call with the same Scratch; otherwise it falls

@@ -2,6 +2,9 @@ package features
 
 import (
 	"math"
+	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
 	"marioh/internal/graph"
@@ -173,4 +176,121 @@ func TestAggStatsEmpty(t *testing.T) {
 			t.Fatal("empty agg must be zeros")
 		}
 	}
+}
+
+// TestPinnedParentFeaturesBitIdentical: features of sub-cliques computed
+// through a pinned parent's pair statistics are bit-identical to a fresh
+// Compute, for every built-in featurizer. The graphs are projections of
+// random hypergraphs plus a hub joined to most nodes (degree past the
+// dense-bitset threshold of 64), and, after the parents are enumerated,
+// random cliques are consumed the way Phase 1 consumes accepted ones —
+// so many parents have lost edges and are no longer cliques when their
+// sub-cliques are scored. Subs of every size k ∈ [2, |q|−1] are drawn,
+// sorted as the search draws them and shuffled; a query outside the
+// parent falls back to a sweep.
+func TestPinnedParentFeaturesBitIdentical(t *testing.T) {
+	var pinned, fresh Scratch
+	brokenParents, hubRows := 0, 0
+	for trial := 0; trial < 12; trial++ {
+		rng := rand.New(rand.NewSource(int64(trial)))
+		n := 80 + rng.Intn(120)
+		h := hypergraph.New(n)
+		for e := 0; e < 3*n; e++ {
+			k := 2 + rng.Intn(5)
+			base := rng.Intn(n - 8)
+			nodes := make([]int, k)
+			for i := range nodes {
+				nodes[i] = base + rng.Intn(8)
+			}
+			if len(uniq(nodes)) >= 2 {
+				h.AddMult(nodes, 1+rng.Intn(3))
+			}
+		}
+		hub := rng.Intn(n)
+		for v := 0; v < n; v++ {
+			if v != hub && rng.Float64() < 0.8 {
+				h.AddMult([]int{hub, v}, 1+rng.Intn(2))
+			}
+		}
+		g := h.Project()
+		if g.Degree(hub) >= 64 {
+			hubRows++
+		}
+		var parents [][]int
+		cliques := g.MaximalCliques(2)
+		for _, q := range cliques {
+			if len(q) >= 3 {
+				parents = append(parents, q)
+			}
+		}
+		// Phase-1-style consumption: decrement every edge of random
+		// cliques that are still intact.
+		for _, q := range cliques {
+			if rng.Float64() < 0.3 && isClique(g, q) {
+				for i := 0; i < len(q); i++ {
+					for j := i + 1; j < len(q); j++ {
+						g.AddWeight(q[i], q[j], -1)
+					}
+				}
+			}
+		}
+		for _, q := range parents {
+			if !isClique(g, q) {
+				brokenParents++
+			}
+			pinned.Pin(g, q)
+			for k := 2; k <= len(q)-1; k++ {
+				for rep := 0; rep < 2; rep++ {
+					sub := append([]int(nil), q...)
+					rng.Shuffle(len(sub), func(a, b int) { sub[a], sub[b] = sub[b], sub[a] })
+					sub = sub[:k]
+					if rep == 0 {
+						sort.Ints(sub)
+					}
+					checkSameFeatures(t, &pinned, &fresh, g, sub)
+				}
+			}
+			// A query reaching outside the parent is swept, not indexed.
+			outside := append(append([]int(nil), q[:2]...), (q[len(q)-1]+1)%n)
+			if len(uniq(outside)) == 3 {
+				checkSameFeatures(t, &pinned, &fresh, g, outside)
+			}
+			pinned.Unpin()
+		}
+	}
+	t.Logf("%d parents lost edges; %d graphs had a bitset hub", brokenParents, hubRows)
+	if brokenParents == 0 || hubRows == 0 {
+		t.Fatalf("coverage: %d parents lost edges, %d graphs had a bitset hub; want both > 0", brokenParents, hubRows)
+	}
+}
+
+func checkSameFeatures(t *testing.T, pinned, fresh *Scratch, g *graph.Graph, q []int) {
+	t.Helper()
+	for _, name := range []string{"marioh", "marioh-nomhh", "shyre-count", "shyre-motif"} {
+		f, _ := ByName(name)
+		got := append([]float64(nil), Compute(f, pinned, g, q, false)...)
+		want := Compute(f, fresh, g, q, false)
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%s q=%v dim %d: pinned %v, fresh %v", name, q, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+func isClique(g *graph.Graph, q []int) bool {
+	for i := 0; i < len(q); i++ {
+		for j := i + 1; j < len(q); j++ {
+			if !g.HasEdge(q[i], q[j]) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+func uniq(s []int) []int {
+	c := append([]int(nil), s...)
+	sort.Ints(c)
+	return slices.Compact(c)
 }

@@ -15,6 +15,14 @@ type PairScratch struct {
 	acc     []int   // |Q|×|Q| upper-triangle MHH accumulator
 
 	omega, mhh []int // result buffers handed to the caller
+
+	// The parent pin (see Pin).
+	pinG             *Graph
+	pinNodes         []int   // the pinned parent, in the caller's order
+	pinIdx           []int32 // node id → index in pinNodes, -1 otherwise
+	pinOmega, pinMHH []int   // the parent's pair statistics, once swept
+	pinSwept         bool
+	pos              []int32 // parent index of each node of the current query
 }
 
 // grow ensures the node-indexed arrays cover n nodes.
@@ -23,10 +31,82 @@ func (s *PairScratch) grow(n int) {
 		s.cnt = make([]int32, n)
 		s.off = make([]int32, n)
 		s.memberIdx = make([]int32, n)
+		s.pinIdx = make([]int32, n)
 		for i := range s.memberIdx {
 			s.memberIdx[i] = -1
+			s.pinIdx[i] = -1
 		}
 	}
+}
+
+// Pin makes later CliquePairStats calls on g with s answer any node set
+// drawn from parent by indexing one sweep of parent itself, instead of
+// sweeping each query. The statistics of a pair depend only on the pair
+// and the graph, never on the rest of the query, so the answers are
+// identical; the parent need not be a clique of g. The sweep runs on the
+// first query that uses it, so a pin no query uses costs nothing but the
+// index. g must not change until Unpin; queries on other graphs, or
+// reaching outside the parent, ignore the pin. Pinning again replaces the
+// previous pin.
+func (s *PairScratch) Pin(g *Graph, parent []int) {
+	s.Unpin()
+	for _, u := range parent {
+		g.check(u)
+	}
+	s.grow(len(g.nbrs))
+	s.pinG = g
+	s.pinNodes = append(s.pinNodes[:0], parent...)
+	for i, u := range s.pinNodes {
+		s.pinIdx[u] = int32(i)
+	}
+}
+
+// Unpin drops the pin; later queries sweep again.
+func (s *PairScratch) Unpin() {
+	if s.pinG == nil {
+		return
+	}
+	for _, u := range s.pinNodes {
+		s.pinIdx[u] = -1
+	}
+	s.pinG, s.pinSwept = nil, false
+}
+
+// pinned answers q from the pinned parent's statistics. It reports false
+// when q is not a set of distinct parent members, for the caller to sweep
+// instead.
+func (s *PairScratch) pinned(g *Graph, q []int) (omega, mhh []int, ok bool) {
+	pos := s.pos[:0]
+	for _, u := range q {
+		if u < 0 || u >= len(s.pinIdx) || s.pinIdx[u] < 0 {
+			return nil, nil, false
+		}
+		pos = append(pos, s.pinIdx[u])
+	}
+	s.pos = pos
+	if !s.pinSwept {
+		omega, mhh := g.sweepPairStats(s.pinNodes, s)
+		s.pinOmega = append(s.pinOmega[:0], omega...)
+		s.pinMHH = append(s.pinMHH[:0], mhh...)
+		s.pinSwept = true
+	}
+	m := len(s.pinNodes)
+	s.omega, s.mhh = s.omega[:0], s.mhh[:0]
+	for a := 0; a < len(pos); a++ {
+		for b := a + 1; b < len(pos); b++ {
+			i, j := int(pos[a]), int(pos[b])
+			if i == j {
+				return nil, nil, false
+			}
+			if i > j {
+				i, j = j, i
+			}
+			k := i*(2*m-i-1)/2 + j - i - 1 // index of parent pair (i, j)
+			s.omega = append(s.omega, s.pinOmega[k])
+			s.mhh = append(s.mhh, s.pinMHH[k])
+		}
+	}
+	return s.omega, s.mhh, true
 }
 
 // CliquePairStats returns, for every pair (q[i], q[j]) with i < j in the
@@ -42,8 +122,20 @@ func (s *PairScratch) grow(n int) {
 // calling Weight and SumMinCommonWeight per pair.
 //
 // Both returned slices are owned by the scratch and valid until the next
-// call.
+// call. While s pins a parent of q on g (see Pin), the pairs are read
+// from the parent's single sweep.
 func (g *Graph) CliquePairStats(q []int, s *PairScratch) (omega, mhh []int) {
+	if s.pinG == g {
+		if omega, mhh, ok := s.pinned(g, q); ok {
+			return omega, mhh
+		}
+	}
+	return g.sweepPairStats(q, s)
+}
+
+// sweepPairStats is CliquePairStats without the pin: one sweep over the
+// members' neighbor lists.
+func (g *Graph) sweepPairStats(q []int, s *PairScratch) (omega, mhh []int) {
 	m := len(q)
 	nPairs := m * (m - 1) / 2
 	if cap(s.omega) < nPairs {

@@ -1,8 +1,11 @@
 package hypergraph
 
 import (
+	"math/rand"
 	"reflect"
+	"runtime"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -345,4 +348,179 @@ func TestSingularValues(t *testing.T) {
 			t.Fatalf("singular values not sorted: %v", sv)
 		}
 	}
+}
+
+// refHypergraph is the map-based model the compact storage is checked
+// against: multiplicity per canonical key, keys in first-insertion order.
+type refHypergraph struct {
+	mult            map[string]int
+	order           []string
+	total, sumSizes int
+}
+
+func (r *refHypergraph) addMult(nodes []int, m int) {
+	k := Key(nodes)
+	if _, ok := r.mult[k]; !ok {
+		r.order = append(r.order, k)
+	}
+	r.mult[k] += m
+	r.total += m
+	r.sumSizes += len(DecodeKey(k)) * m
+}
+
+// TestHypergraphMatchesReferenceModel drives random Add/AddMult sequences
+// (unsorted input, repeated nodes, repeated hyperedges) through the
+// compact storage and a map-based reference, and compares every read
+// path: the counters, lookups by node set and by key, the insertion order
+// of Each/UniqueEdges/EdgesWithMult/Keys, Equal, Clone, and a Write→Read
+// round trip.
+func TestHypergraphMatchesReferenceModel(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		universe := 4 + rng.Intn(40)
+		randomSet := func() []int {
+			k := 2 + rng.Intn(5)
+			for {
+				s := make([]int, k)
+				for i := range s {
+					s[i] = rng.Intn(universe)
+				}
+				if len(dedupSorted(s)) >= 2 {
+					return s
+				}
+			}
+		}
+		h := New(0)
+		ref := &refHypergraph{mult: map[string]int{}}
+		steps := 50 + rng.Intn(500)
+		for i := 0; i < steps; i++ {
+			nodes := randomSet()
+			if rng.Intn(3) == 0 && len(ref.order) > 0 {
+				// Re-add a present hyperedge, shuffled.
+				nodes = DecodeKey(ref.order[rng.Intn(len(ref.order))])
+				rng.Shuffle(len(nodes), func(a, b int) { nodes[a], nodes[b] = nodes[b], nodes[a] })
+			}
+			before := append([]int(nil), nodes...)
+			if m := 1 + rng.Intn(4); m == 1 && rng.Intn(2) == 0 {
+				h.Add(nodes)
+				ref.addMult(nodes, 1)
+			} else {
+				h.AddMult(nodes, m)
+				ref.addMult(nodes, m)
+			}
+			if !reflect.DeepEqual(nodes, before) {
+				t.Fatalf("seed %d: AddMult modified its input %v → %v", seed, before, nodes)
+			}
+		}
+
+		if h.NumUnique() != len(ref.order) || h.NumTotal() != ref.total || h.SumSizes() != ref.sumSizes {
+			t.Fatalf("seed %d: counters (%d, %d, %d), reference (%d, %d, %d)", seed,
+				h.NumUnique(), h.NumTotal(), h.SumSizes(), len(ref.order), ref.total, ref.sumSizes)
+		}
+		if !reflect.DeepEqual(h.Keys(), ref.order) {
+			t.Fatalf("seed %d: Keys order differs from insertion order", seed)
+		}
+		var each []string
+		h.Each(func(nodes []int, mult int) {
+			k := KeySorted(nodes)
+			each = append(each, k)
+			if mult != ref.mult[k] {
+				t.Fatalf("seed %d: Each gives %v×%d, reference %d", seed, nodes, mult, ref.mult[k])
+			}
+		})
+		if !reflect.DeepEqual(each, ref.order) {
+			t.Fatalf("seed %d: Each order differs from insertion order", seed)
+		}
+		for i, e := range h.EdgesWithMult() {
+			k := ref.order[i]
+			if !reflect.DeepEqual(e.Nodes, DecodeKey(k)) || e.Mult != ref.mult[k] {
+				t.Fatalf("seed %d: EdgesWithMult[%d] = %v, reference %v×%d", seed, i, e, DecodeKey(k), ref.mult[k])
+			}
+			if !reflect.DeepEqual(h.UniqueEdges()[i], e.Nodes) || !reflect.DeepEqual(h.EdgeByKey(k), e.Nodes) {
+				t.Fatalf("seed %d: UniqueEdges/EdgeByKey disagree at %d", seed, i)
+			}
+		}
+		// Lookups, present and (mostly) absent, by node set and by key.
+		for i := 0; i < 200; i++ {
+			nodes := randomSet()
+			k := Key(nodes)
+			want := ref.mult[k]
+			if h.Multiplicity(nodes) != want || h.Contains(nodes) != (want > 0) ||
+				h.MultiplicityKey(k) != want || h.ContainsKey(k) != (want > 0) {
+				t.Fatalf("seed %d: lookups of %v disagree with reference %d", seed, nodes, want)
+			}
+		}
+		if h.Contains([]int{-1, 0}) || h.ContainsKey("\xff") {
+			t.Fatalf("seed %d: a negative id or a malformed key was found", seed)
+		}
+
+		// Equal against the same multiset built in another order, and
+		// against one multiplicity off.
+		perm := rng.Perm(len(ref.order))
+		other := New(0)
+		for _, i := range perm {
+			k := ref.order[i]
+			other.AddMult(DecodeKey(k), ref.mult[k])
+		}
+		if !h.Equal(other) || !other.Equal(h) || !h.Equal(h.Clone()) {
+			t.Fatalf("seed %d: Equal rejects the same multiset", seed)
+		}
+		other.Add(DecodeKey(ref.order[perm[0]]))
+		if h.Equal(other) || other.Equal(h) {
+			t.Fatalf("seed %d: Equal accepts a different multiplicity", seed)
+		}
+
+		var sb strings.Builder
+		if err := h.Write(&sb); err != nil {
+			t.Fatal(err)
+		}
+		back, err := Read(strings.NewReader(sb.String()))
+		if err != nil {
+			t.Fatalf("seed %d: reading back: %v", seed, err)
+		}
+		if !back.Equal(h) {
+			t.Fatalf("seed %d: Write→Read round trip changed the multiset", seed)
+		}
+		var sb2 strings.Builder
+		if err := back.Write(&sb2); err != nil || sb2.String() != sb.String() {
+			t.Fatalf("seed %d: second Write differs (%v)", seed, err)
+		}
+	}
+}
+
+// TestCompactStorageFootprint guards the compact layout: 100k random
+// hyperedges of size 2–6 retain at most 48 bytes per unique hyperedge
+// (arena, offsets, multiplicities and index together), measured as the
+// live-heap delta after a GC. A string key, map entry and node slice per
+// hyperedge cost several times that.
+func TestCompactStorageFootprint(t *testing.T) {
+	const n = 100_000
+	rng := rand.New(rand.NewSource(1))
+	edges := make([][]int, n)
+	for i := range edges {
+		e := make([]int, 2+rng.Intn(5))
+		for j := range e {
+			e[j] = rng.Intn(1 << 20)
+		}
+		edges[i] = e
+	}
+	heap := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := heap()
+	h := New(0)
+	for _, e := range edges {
+		h.Add(e)
+	}
+	after := heap()
+	runtime.KeepAlive(edges)
+	perEdge := float64(after-min(after, before)) / float64(h.NumUnique())
+	t.Logf("%d unique hyperedges retain %.1f B each", h.NumUnique(), perEdge)
+	if perEdge > 48 {
+		t.Fatalf("%.1f B retained per unique hyperedge, want ≤ 48", perEdge)
+	}
+	runtime.KeepAlive(h)
 }

@@ -4,7 +4,8 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"sort"
+	"math"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -14,41 +15,27 @@ import (
 // "# <multiplicity>" when the multiplicity exceeds 1. Lines are sorted by
 // node set for reproducible output.
 func (h *Hypergraph) Write(w io.Writer) error {
-	type line struct {
-		nodes []int
-		mult  int
+	order := make([]int, h.NumUnique())
+	for i := range order {
+		order[i] = i
 	}
-	lines := make([]line, 0, h.NumUnique())
-	h.Each(func(nodes []int, mult int) {
-		lines = append(lines, line{nodes: nodes, mult: mult})
-	})
-	sort.Slice(lines, func(i, j int) bool {
-		a, b := lines[i].nodes, lines[j].nodes
-		for k := 0; k < len(a) && k < len(b); k++ {
-			if a[k] != b[k] {
-				return a[k] < b[k]
-			}
-		}
-		return len(a) < len(b)
-	})
+	slices.SortFunc(order, func(i, j int) int { return slices.Compare(h.edge(i), h.edge(j)) })
 	bw := bufio.NewWriter(w)
-	for _, l := range lines {
-		for i, u := range l.nodes {
+	var line []byte
+	for _, id := range order {
+		line = line[:0]
+		for i, u := range h.edge(id) {
 			if i > 0 {
-				if err := bw.WriteByte(' '); err != nil {
-					return err
-				}
+				line = append(line, ' ')
 			}
-			if _, err := bw.WriteString(strconv.Itoa(u)); err != nil {
-				return err
-			}
+			line = strconv.AppendInt(line, int64(u), 10)
 		}
-		if l.mult > 1 {
-			if _, err := fmt.Fprintf(bw, " # %d", l.mult); err != nil {
-				return err
-			}
+		if m := h.mults[id]; m > 1 {
+			line = append(line, " # "...)
+			line = strconv.AppendInt(line, int64(m), 10)
 		}
-		if err := bw.WriteByte('\n'); err != nil {
+		line = append(line, '\n')
+		if _, err := bw.Write(line); err != nil {
 			return err
 		}
 	}
@@ -56,12 +43,16 @@ func (h *Hypergraph) Write(w io.Writer) error {
 }
 
 // Read parses the format produced by Write. Blank lines and lines starting
-// with "%" are skipped.
+// with "%" are skipped. Input that AddMult would reject — a node id outside
+// [0, math.MaxInt32), fewer than two distinct nodes, a multiplicity below 1,
+// or a hyperedge whose multiplicity summed over its lines leaves the int32
+// range — is reported as a line-numbered error.
 func Read(r io.Reader) (*Hypergraph, error) {
 	h := New(0)
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	lineNo := 0
+	var nodes []int
 	for sc.Scan() {
 		lineNo++
 		text := strings.TrimSpace(sc.Text())
@@ -74,22 +65,32 @@ func Read(r io.Reader) (*Hypergraph, error) {
 			if err != nil {
 				return nil, fmt.Errorf("hypergraph: line %d: bad multiplicity: %v", lineNo, err)
 			}
+			if m < 1 || m > math.MaxInt32 {
+				return nil, fmt.Errorf("hypergraph: line %d: multiplicity %d outside [1, %d]", lineNo, m, math.MaxInt32)
+			}
 			mult = m
 			text = strings.TrimSpace(text[:i])
 		}
 		fields := strings.Fields(text)
-		if len(fields) < 2 {
-			return nil, fmt.Errorf("hypergraph: line %d: hyperedge needs at least 2 nodes", lineNo)
-		}
-		nodes := make([]int, len(fields))
-		for i, f := range fields {
+		nodes = nodes[:0]
+		for _, f := range fields {
 			u, err := strconv.Atoi(f)
 			if err != nil {
 				return nil, fmt.Errorf("hypergraph: line %d: bad node id %q", lineNo, f)
 			}
-			nodes[i] = u
+			if u < 0 || u >= math.MaxInt32 {
+				return nil, fmt.Errorf("hypergraph: line %d: node id %d outside [0, %d)", lineNo, u, math.MaxInt32)
+			}
+			nodes = append(nodes, u)
 		}
-		h.AddMult(nodes, mult)
+		canon := canonical(nodes)
+		if len(canon) < 2 {
+			return nil, fmt.Errorf("hypergraph: line %d: hyperedge needs at least 2 distinct nodes", lineNo)
+		}
+		if prev := h.Multiplicity(canon); prev+mult > math.MaxInt32 {
+			return nil, fmt.Errorf("hypergraph: line %d: multiplicity of %v overflows an int32 (%d + %d)", lineNo, canon, prev, mult)
+		}
+		h.AddMult(canon, mult)
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err

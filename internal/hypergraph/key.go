@@ -60,15 +60,26 @@ func KeySorted(nodes []int) string {
 	return string(out)
 }
 
-// DecodeKey inverts Key, returning the sorted node set.
+// DecodeKey inverts Key, returning the sorted node set. It panics on a
+// malformed key.
 func DecodeKey(key string) []int {
+	out, ok := decodeKey(key)
+	if !ok {
+		panic("hypergraph: malformed key")
+	}
+	return out
+}
+
+// decodeKey is DecodeKey reporting a truncated or overlong varint instead
+// of panicking.
+func decodeKey(key string) ([]int, bool) {
 	b := []byte(key)
 	var out []int
 	prev := 0
 	for len(b) > 0 {
 		d, n := binary.Uvarint(b)
 		if n <= 0 {
-			panic("hypergraph: malformed key")
+			return nil, false
 		}
 		b = b[n:]
 		if len(out) == 0 {
@@ -78,5 +89,5 @@ func DecodeKey(key string) []int {
 		}
 		out = append(out, prev)
 	}
-	return out
+	return out, true
 }

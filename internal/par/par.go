@@ -1,8 +1,8 @@
 // Package par is the library's one goroutine fan-out loop. Every
 // embarrassingly parallel pass — clique enumeration, clique scoring,
-// per-component search, shards, dirty session components and batch
-// targets — runs through Do, so worker counts, scheduling and the
-// inline serial path are decided in one place.
+// per-component search, Phase-2 sub-clique scoring, shards, dirty session
+// components and batch targets — runs through Do, so worker counts,
+// scheduling and the inline serial path are decided in one place.
 package par
 
 import (

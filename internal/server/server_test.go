@@ -488,6 +488,10 @@ func TestServerValidationAndNotFound(t *testing.T) {
 	if _, err := c.Train(ctx, TrainRequest{Source: ""}); err == nil {
 		t.Fatal("empty source must be rejected")
 	}
+	// Likewise a hypergraph the parser rejects.
+	if _, err := c.Train(ctx, TrainRequest{Source: "0 1 2\n1 2 # 0"}); err == nil || !strings.Contains(err.Error(), "400") || !strings.Contains(err.Error(), "multiplicity") {
+		t.Fatalf("non-positive multiplicity source: %v", err)
+	}
 	if _, err := c.Train(ctx, TrainRequest{Source: "0 1 2", Options: OptionSpec{Variant: "nope"}}); err == nil {
 		t.Fatal("unknown variant must be rejected before queueing")
 	}
